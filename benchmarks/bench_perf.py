@@ -2,8 +2,8 @@
 
 Runs the ``repro.bench`` harness — simulated-instructions/sec and
 per-point wall time for m88ksim/compress in both speculation modes, the
-trace-replay vs live-core comparison (whose replay==live equality is a
-hard correctness gate), and the batched/traced cold grids — and
+kernel-replay vs live-engine comparisons (whose kernel==live equality is
+a hard correctness gate), and the batched/traced cold grids — and
 refreshes ``BENCH_perf.json`` at the repository root so the perf
 trajectory is tracked alongside the paper artifacts.  ``REPRO_SCALE``
 rescales the measured points exactly like the figure benchmarks (the
@@ -26,13 +26,14 @@ def test_perf_harness(save_result, scale):
     assert report["points"], "no points measured"
     for key, sample in report["points"].items():
         assert sample["sim_ips"] > 0, f"{key}: bad throughput"
-    trace = report.get("trace_replay")
-    if trace is not None:
-        # measure_trace_replay raised already if replay != live; here we
-        # only sanity-check the recorded numbers.
-        for benchmark, sample in trace.items():
-            assert sample["replay_sim_ips"] > 0, f"{benchmark}: bad replay"
-            assert sample["record_seconds"] >= 0
+    for section in ("kernel", "arvi_kernel"):
+        # measure_kernel_replay raised already if kernel != live; here
+        # we only sanity-check the recorded numbers.
+        for benchmark, sample in report.get(section, {}).items():
+            if benchmark == "pr4_baseline":
+                continue
+            assert sample["kernel_sim_ips"] > 0, f"{benchmark}: bad replay"
+            assert sample["phases"]["record_seconds"] >= 0
     grid = report.get("grid_batching")
     if grid is not None:
         assert grid["batched_seconds"] > 0

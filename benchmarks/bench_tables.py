@@ -52,11 +52,12 @@ def test_section2_hardware_sizing(benchmark, save_result):
 
 def test_render_all_regenerates_every_artifact(benchmark, save_result):
     """One-shot regeneration of every configuration-derived artifact;
-    its keys are the result-file names the individual benches write."""
+    its keys are the result-file names (``speculation_modes`` is written
+    only here)."""
     artifacts = benchmark(render_all)
     assert set(artifacts) == {
         "table1_arvi_access", "table2_machine", "table3_benchmarks",
-        "table4_latencies", "section2_sizing",
+        "table4_latencies", "section2_sizing", "speculation_modes",
     }
     for name, text in artifacts.items():
         save_result(name, text)

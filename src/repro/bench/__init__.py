@@ -7,29 +7,17 @@ is tracked from PR 3 onward:
 * **single points**: m88ksim and compress, ``baseline`` configuration,
   20-stage machine, in both speculation modes (``redirect`` and
   ``wrongpath``), best-of-N wall time (always the live functional core);
-* **trace replay** (DESIGN.md §8): for the redirect points, live-core
-  sim-ips vs replaying a recorded committed trace through the
-  *interpreted* engine loop (``REPRO_KERNEL=0``, the PR 4 path, kept
-  measurable for continuity) — the recording cost, the warm replay
-  throughput, and the speedup.  Replay and live results **must** be
-  bit-for-bit equal; a divergence raises and fails the run (this is the
-  CI correctness gate — perf numbers stay informational);
-* **kernel replay** (DESIGN.md §10): the same redirect points through
-  the compiled replay kernel, with per-phase timing (record / lower /
-  replay) and kernel-vs-interpreted-vs-live speedups.  The kernel
-  result **must** equal both the interpreted replay and the live run —
-  the second hard gate — and the PR 4 interpreted-replay numbers are
-  carried forward (``kernel.pr4_baseline``) so the kernel's speedup
-  over them stays visible across regenerations;
+* **kernel replay** (DESIGN.md §8, §10): the redirect points recorded
+  once and replayed through the compiled kernel, with per-phase timing
+  (record / lower / replay) and the kernel-vs-live speedup.  The kernel
+  result **must** be bit-for-bit equal to the live run; a divergence
+  raises and fails the run (this is the CI correctness gate — perf
+  numbers stay informational).  The PR 4 interpreted-replay numbers
+  are carried forward (``kernel.pr4_baseline``) so the kernel's
+  speedup over them stays visible across regenerations;
 * **ARVI kernel replay** (DESIGN.md §13): the ``current`` ARVI
-  configuration through the fused kernel pass vs interpreted vs live —
-  the paper's own sweep axis, hard-gated bit-for-bit like the stream
-  kinds;
-* **specialized replay** (DESIGN.md §13): the redirect points through
-  the trace-specialized generated module (``REPRO_KERNEL_SPEC=1``) vs
-  the stream kernel, with record / lower / codegen / replay phase
-  timings — equality hard-gated, the warm ``specialized_vs_kernel``
-  ratio is the ISSUE 9 acceptance number;
+  configuration through the fused kernel pass vs live — the paper's
+  own sweep axis, hard-gated bit-for-bit like the stream kinds;
 * **grid batching**: a cold same-benchmark grid (cache disabled) run
   twice through the process-pool scheduler — once with in-worker point
   batching, once per-point — to track the scheduling-overhead win;
@@ -63,21 +51,20 @@ from datetime import datetime, timezone
 from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
-from repro.pipeline.kernel import ensure_lowered
 from repro.pipeline.trace import TraceRecorder
-from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import get_program
 
-#: v5: ``arvi_kernel`` (fused ARVI pass vs interpreted vs live, hard
-#: equality gate) + ``specialized`` (trace-specialized codegen vs the
-#: kernel, with per-phase record/lower/codegen/replay timings) sections,
-#: and the observability overhead re-measured as paired rounds /
+#: v6: the interpreted and generated-code replay tiers are gone, so
+#: their ``trace_replay`` and codegen sections are dropped and
+#: ``kernel`` / ``arvi_kernel`` share one shape (kernel vs live,
+#: per-phase timings); v5: ``arvi_kernel`` + codegen sections, and the
+#: observability overhead re-measured as paired rounds /
 #: median-of-ratios; v4 sourced kernel phase timings from
 #: ``execute_point``'s ``info["phase_seconds"]`` + the ``observability``
 #: section with its CI gate (PR 7); v3 added the kernel section +
 #: carried PR 4 baseline (PR 6); v2 added trace_replay + grid_trace
 #: (PR 4).
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Single-point measurements: (benchmark, speculation mode).
 POINT_MATRIX = (
@@ -125,84 +112,24 @@ def measure_point(benchmark: str, speculation: str, *, scale: float,
     }
 
 
-def measure_trace_replay(benchmark: str, *, scale: float, warmup: int,
-                         repeats: int = 3) -> dict:
-    """Live-core vs trace-replay sim-ips for one redirect point.
-
-    Records the committed trace once (timed), replays it through the
-    same timing configuration (warm best-of-``repeats``, so the
-    materialized stream is shared the way a batch shares it), and
-    *asserts* the replayed ``SimulationResult`` equals the live one —
-    the correctness gate CI relies on.  The replay is forced onto the
-    interpreted path (``REPRO_KERNEL=0``) so this section keeps
-    measuring the PR 4 loop; the compiled kernel has its own section
-    (:func:`measure_kernel_replay`).
-    """
-    point = ExperimentPoint(benchmark, "baseline", 20, scale=scale,
-                            warmup=warmup).resolve()
-    live_best = None
-    live_result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        live_result = execute_point(point, trace=False)
-        elapsed = time.perf_counter() - start
-        if live_best is None or elapsed < live_best:
-            live_best = elapsed
-
-    program = get_program(benchmark, scale=point.scale, seed=point.seed)
-    start = time.perf_counter()
-    trace = TraceRecorder(program).record()
-    record_seconds = time.perf_counter() - start
-
-    replay_best = None
-    replay_result = None
-    previous = os.environ.get("REPRO_KERNEL")
-    try:
-        os.environ["REPRO_KERNEL"] = "0"  # measure the interpreted path
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            replay_result = execute_point(point, trace=trace)
-            elapsed = time.perf_counter() - start
-            if replay_best is None or elapsed < replay_best:
-                replay_best = elapsed
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
-
-    if replay_result != live_result:  # the hard correctness gate
-        raise AssertionError(
-            f"{benchmark}: trace-replay result diverged from the live "
-            "functional core")
-    instructions = live_result.total_instructions
-    return {
-        "instructions": instructions,
-        "live_sim_ips": round(instructions / live_best, 1),
-        "replay_sim_ips": round(instructions / replay_best, 1),
-        "record_seconds": round(record_seconds, 4),
-        "replay_wall_seconds": round(replay_best, 4),
-        "replay_speedup": round(live_best / replay_best, 4),
-    }
-
-
-def measure_kernel_replay(benchmark: str, *, scale: float, warmup: int,
+def measure_kernel_replay(benchmark: str, configuration: str = "baseline",
+                          *, scale: float, warmup: int,
                           repeats: int = 3) -> dict:
-    """Compiled-kernel replay vs interpreted replay vs live, per phase.
+    """Compiled-kernel replay vs the live engine, per phase.
 
     Times each phase of the kernel path separately — recording the
     committed trace, lowering it to array form (including the one-shot
     branch decision streams), and the warm per-config replay — and
-    *asserts* the kernel result is bit-for-bit equal to both the
-    interpreted replay and the live run: the PR 6 correctness gate
-    mirroring PR 4's replay==live gate.
+    *asserts* the kernel result is bit-for-bit equal to the live run:
+    the hard correctness gate.  ``baseline`` exercises the stream pass,
+    the ARVI configurations the fused pass.
 
     The lower/replay timings come from ``execute_point``'s
     ``info["phase_seconds"]`` — the same per-phase clocks that feed the
     telemetry ledger spans — so the bench numbers and a run ledger's
-    phase breakdown are directly comparable (schema v4).
+    phase breakdown are directly comparable.
     """
-    point = ExperimentPoint(benchmark, "baseline", 20, scale=scale,
+    point = ExperimentPoint(benchmark, configuration, 20, scale=scale,
                             warmup=warmup).resolve()
     live_best = None
     live_result = None
@@ -218,234 +145,43 @@ def measure_kernel_replay(benchmark: str, *, scale: float, warmup: int,
     trace = TraceRecorder(program).record()
     record_seconds = time.perf_counter() - start
 
-    previous = os.environ.get("REPRO_KERNEL")
-    try:
-        os.environ["REPRO_KERNEL"] = "0"
-        interp_best = None
-        interpreted = None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            interpreted = execute_point(point, trace=trace)
-            elapsed = time.perf_counter() - start
-            if interp_best is None or elapsed < interp_best:
-                interp_best = elapsed
-
-        os.environ["REPRO_KERNEL"] = "1"
-        kernel_best = None
-        kernel_result = None
-        lower_seconds = None
-        for _ in range(max(1, repeats)):
-            info: dict = {}
-            kernel_result = execute_point(point, trace=trace, info=info)
-            phases = info["phase_seconds"]
-            if "lower" in phases:      # only the first (cold) run lowers
-                lower_seconds = phases["lower"]
-            elapsed = phases["replay"]
-            if kernel_best is None or elapsed < kernel_best:
-                kernel_best = elapsed
-            if info.get("kernel_source") != "kernel":
-                raise AssertionError(
-                    f"{benchmark}: compiled kernel did not engage "
-                    f"(kernel_source={info.get('kernel_source')!r})")
-        if lower_seconds is None:
+    kernel_best = None
+    kernel_result = None
+    lower_seconds = None
+    for _ in range(max(1, repeats)):
+        info: dict = {}
+        kernel_result = execute_point(point, trace=trace, info=info)
+        if info.get("kernel_source") != "kernel":
             raise AssertionError(
-                f"{benchmark}: no cold lowering phase observed — was the "
-                "trace already lowered before the harness ran?")
-        lowered = ensure_lowered(program, trace)  # cached: just the label
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
+                f"{benchmark}/{configuration}: compiled kernel did not "
+                f"engage (kernel_source={info.get('kernel_source')!r})")
+        phases = info["phase_seconds"]
+        if "lower" in phases:      # only the first (cold) run lowers
+            lower_seconds = phases["lower"]
+        elapsed = phases["replay"]
+        if kernel_best is None or elapsed < kernel_best:
+            kernel_best = elapsed
+    if lower_seconds is None:
+        raise AssertionError(
+            f"{benchmark}: no cold lowering phase observed — was the "
+            "trace already lowered before the harness ran?")
 
-    if kernel_result != interpreted:  # the hard correctness gate
+    if kernel_result != live_result:  # the hard correctness gate
         raise AssertionError(
-            f"{benchmark}: kernel replay diverged from the interpreted "
-            "replay")
-    if interpreted != live_result:  # PR 4's gate, kept
-        raise AssertionError(
-            f"{benchmark}: trace replay diverged from the live "
-            "functional core")
+            f"{benchmark}/{configuration}: kernel replay diverged from "
+            "the live engine")
     instructions = live_result.total_instructions
     return {
         "instructions": instructions,
-        "lowering_backend": lowered.backend,
+        "configuration": configuration,
         "phases": {
             "record_seconds": round(record_seconds, 4),
             "lower_seconds": round(lower_seconds, 4),
             "replay_wall_seconds": round(kernel_best, 4),
         },
         "kernel_sim_ips": round(instructions / kernel_best, 1),
-        "interpreted_sim_ips": round(instructions / interp_best, 1),
         "live_sim_ips": round(instructions / live_best, 1),
-        "kernel_vs_interpreted": round(interp_best / kernel_best, 4),
         "kernel_vs_live": round(live_best / kernel_best, 4),
-    }
-
-
-def measure_arvi_kernel(benchmark: str, *, scale: float, warmup: int,
-                        repeats: int = 3) -> dict:
-    """Fused ARVI kernel pass vs interpreted replay vs live.
-
-    The paper's own sweep axis: the ``current`` ARVI configuration at
-    depth 20, replayed through the fused kernel pass
-    (``LevelTwoKind.ARVI`` in ``_SUPPORTED_KINDS``) and through the
-    interpreted engine loop, against the live run.  All three results
-    **must** be bit-for-bit equal — the ISSUE 9 hard gate mirroring the
-    PR 6 stream-kind gate — and the kernel must actually engage
-    (``kernel_source == "kernel"``); the speedups are informational.
-    """
-    point = ExperimentPoint(benchmark, "current", 20, scale=scale,
-                            warmup=warmup).resolve()
-    live_best = None
-    live_result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        live_result = execute_point(point, trace=False)
-        elapsed = time.perf_counter() - start
-        if live_best is None or elapsed < live_best:
-            live_best = elapsed
-
-    program = get_program(benchmark, scale=point.scale, seed=point.seed)
-    trace = TraceRecorder(program).record()
-
-    previous = os.environ.get("REPRO_KERNEL")
-    try:
-        os.environ["REPRO_KERNEL"] = "0"
-        interp_best = None
-        interpreted = None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            interpreted = execute_point(point, trace=trace)
-            elapsed = time.perf_counter() - start
-            if interp_best is None or elapsed < interp_best:
-                interp_best = elapsed
-
-        os.environ["REPRO_KERNEL"] = "1"
-        kernel_best = None
-        kernel_result = None
-        for _ in range(max(1, repeats)):
-            info: dict = {}
-            kernel_result = execute_point(point, trace=trace, info=info)
-            elapsed = info["phase_seconds"]["replay"]
-            if kernel_best is None or elapsed < kernel_best:
-                kernel_best = elapsed
-            if info.get("kernel_source") != "kernel":
-                raise AssertionError(
-                    f"{benchmark}: ARVI fused kernel did not engage "
-                    f"(kernel_source={info.get('kernel_source')!r})")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
-
-    if kernel_result != interpreted:  # the ISSUE 9 hard gate
-        raise AssertionError(
-            f"{benchmark}: ARVI kernel replay diverged from the "
-            "interpreted replay")
-    if interpreted != live_result:
-        raise AssertionError(
-            f"{benchmark}: ARVI trace replay diverged from the live "
-            "functional core")
-    instructions = live_result.total_instructions
-    return {
-        "instructions": instructions,
-        "configuration": "current",
-        "kernel_sim_ips": round(instructions / kernel_best, 1),
-        "interpreted_sim_ips": round(instructions / interp_best, 1),
-        "live_sim_ips": round(instructions / live_best, 1),
-        "arvi_kernel_vs_interpreted": round(interp_best / kernel_best, 4),
-        "arvi_kernel_vs_live": round(live_best / kernel_best, 4),
-    }
-
-
-def measure_specialized_replay(benchmark: str, *, scale: float,
-                               warmup: int, repeats: int = 3) -> dict:
-    """Trace-specialized generated replay vs the stream kernel.
-
-    Times every phase of the specialized path — recording, lowering,
-    the one-time codegen (into a throwaway ``REPRO_KERNEL_SPEC_DIR`` so
-    it is always measured cold) and the warm replay — and **asserts**
-    the specialized result is bit-for-bit equal to the kernel's (which
-    ``measure_kernel_replay`` already gated against interpreted and
-    live).  ``specialized_vs_kernel`` is the warm replay-phase ratio —
-    the ISSUE 9 acceptance number (≥1.2x on m88ksim at scale 1.0).
-    """
-    import tempfile
-
-    point = ExperimentPoint(benchmark, "baseline", 20, scale=scale,
-                            warmup=warmup).resolve()
-    program = get_program(benchmark, scale=point.scale, seed=point.seed)
-    start = time.perf_counter()
-    trace = TraceRecorder(program).record()
-    record_seconds = time.perf_counter() - start
-
-    env_keys = ("REPRO_KERNEL", "REPRO_KERNEL_SPEC",
-                "REPRO_KERNEL_SPEC_DIR")
-    previous = {key: os.environ.get(key) for key in env_keys}
-    try:
-        os.environ["REPRO_KERNEL"] = "1"
-        os.environ["REPRO_KERNEL_SPEC"] = "0"
-        kernel_best = None
-        kernel_result = None
-        lower_seconds = 0.0
-        for _ in range(max(1, repeats)):
-            info: dict = {}
-            kernel_result = execute_point(point, trace=trace, info=info)
-            phases = info["phase_seconds"]
-            if "lower" in phases:      # only the first (cold) run lowers
-                lower_seconds = phases["lower"]
-            elapsed = phases["replay"]
-            if kernel_best is None or elapsed < kernel_best:
-                kernel_best = elapsed
-
-        os.environ["REPRO_KERNEL_SPEC"] = "1"
-        spec_best = None
-        spec_result = None
-        codegen_seconds = None
-        with tempfile.TemporaryDirectory() as tmp:
-            os.environ["REPRO_KERNEL_SPEC_DIR"] = tmp
-            for _ in range(max(1, repeats)):
-                info = {}
-                spec_result = execute_point(point, trace=trace, info=info)
-                phases = info["phase_seconds"]
-                if "codegen" in phases:  # only the first (cold) run
-                    codegen_seconds = phases["codegen"]
-                elapsed = phases["replay"]
-                if spec_best is None or elapsed < spec_best:
-                    spec_best = elapsed
-                if info.get("kernel_source") != "specialized":
-                    raise AssertionError(
-                        f"{benchmark}: specialized replay did not engage "
-                        f"(kernel_source={info.get('kernel_source')!r})")
-        if codegen_seconds is None:
-            raise AssertionError(
-                f"{benchmark}: no cold codegen phase observed — was the "
-                "specialized module cached before the harness ran?")
-    finally:
-        for key, value in previous.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-    if spec_result != kernel_result:  # the ISSUE 9 hard gate
-        raise AssertionError(
-            f"{benchmark}: specialized replay diverged from the kernel "
-            "replay")
-    instructions = kernel_result.total_instructions
-    return {
-        "instructions": instructions,
-        "phases": {
-            "record_seconds": round(record_seconds, 4),
-            "lower_seconds": round(lower_seconds, 4),
-            "codegen_seconds": round(codegen_seconds, 4),
-            "replay_wall_seconds": round(spec_best, 4),
-        },
-        "specialized_sim_ips": round(instructions / spec_best, 1),
-        "kernel_sim_ips": round(instructions / kernel_best, 1),
-        "specialized_vs_kernel": round(kernel_best / spec_best, 4),
     }
 
 
@@ -651,13 +387,9 @@ def _load_baseline(output: pathlib.Path) -> dict | None:
 
 
 def _pr4_baseline(output: pathlib.Path) -> dict | None:
-    """Carry the PR 4 interpreted-replay numbers across runs.
-
-    Seeded from a schema-2 file's ``trace_replay`` section on the first
-    schema-3 regeneration, then preserved verbatim — so the kernel's
-    speedup over the pre-kernel replay loop stays visible no matter how
-    often the file is regenerated.
-    """
+    """Carry the recorded PR 4 interpreted-replay numbers across runs,
+    so the kernel's speedup over the pre-kernel replay loop stays
+    visible no matter how often the file is regenerated."""
     previous = _load_previous(output)
     if previous is None:
         return None
@@ -665,19 +397,6 @@ def _pr4_baseline(output: pathlib.Path) -> dict | None:
     if isinstance(kernel, dict) and isinstance(
             kernel.get("pr4_baseline"), dict):
         return kernel["pr4_baseline"]
-    replay = previous.get("trace_replay")
-    if isinstance(replay, dict):
-        points = {
-            name: sample["replay_sim_ips"]
-            for name, sample in replay.items()
-            if isinstance(sample, dict) and sample.get("replay_sim_ips")}
-        if points:
-            return {
-                "label": "PR 4 interpreted trace replay",
-                "scale": previous.get("scale"),
-                "warmup": previous.get("warmup"),
-                "points": points,
-            }
     return None
 
 
@@ -715,71 +434,32 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
              f"{sample['wall_seconds']:.3f}s)")
 
     if not skip_trace:
-        report["trace_replay"] = {}
-        for benchmark, speculation in POINT_MATRIX:
-            if speculation != "redirect":
-                continue  # replay only exists for redirect points
-            sample = measure_trace_replay(benchmark, scale=scale,
-                                          warmup=warmup, repeats=repeats)
-            report["trace_replay"][benchmark] = sample
-            echo(f"{benchmark} trace replay: "
-                 f"{sample['replay_sim_ips']:,.0f} sim-inst/s vs live "
-                 f"{sample['live_sim_ips']:,.0f} "
-                 f"({sample['replay_speedup']:.2f}x; record "
-                 f"{sample['record_seconds']:.3f}s, results identical)")
-
+        redirect = [benchmark for benchmark, speculation in POINT_MATRIX
+                    if speculation == "redirect"]  # replay is redirect-only
         report["kernel"] = {}
         if pr4 is not None:
             report["kernel"]["pr4_baseline"] = pr4
-        for benchmark, speculation in POINT_MATRIX:
-            if speculation != "redirect":
-                continue  # the kernel only exists for redirect points
-            sample = measure_kernel_replay(benchmark, scale=scale,
-                                           warmup=warmup, repeats=repeats)
-            if (pr4 is not None and pr4.get("scale") == scale
-                    and pr4.get("warmup") == warmup):
-                base = pr4.get("points", {}).get(benchmark)
-                if base:
-                    sample["kernel_vs_pr4_replay"] = round(
-                        sample["kernel_sim_ips"] / base, 3)
-            report["kernel"][benchmark] = sample
-            echo(f"{benchmark} kernel replay: "
-                 f"{sample['kernel_sim_ips']:,.0f} sim-inst/s vs "
-                 f"interpreted {sample['interpreted_sim_ips']:,.0f} "
-                 f"({sample['kernel_vs_interpreted']:.2f}x) vs live "
-                 f"{sample['live_sim_ips']:,.0f} "
-                 f"({sample['kernel_vs_live']:.2f}x; lower "
-                 f"{sample['phases']['lower_seconds']:.3f}s, results "
-                 "identical)")
-
         report["arvi_kernel"] = {}
-        for benchmark, speculation in POINT_MATRIX:
-            if speculation != "redirect":
-                continue  # the kernel only exists for redirect points
-            sample = measure_arvi_kernel(benchmark, scale=scale,
-                                         warmup=warmup, repeats=repeats)
-            report["arvi_kernel"][benchmark] = sample
-            echo(f"{benchmark} ARVI kernel replay: "
-                 f"{sample['kernel_sim_ips']:,.0f} sim-inst/s vs "
-                 f"interpreted {sample['interpreted_sim_ips']:,.0f} "
-                 f"({sample['arvi_kernel_vs_interpreted']:.2f}x) vs live "
-                 f"{sample['live_sim_ips']:,.0f} "
-                 f"({sample['arvi_kernel_vs_live']:.2f}x, results "
-                 "identical)")
-
-        report["specialized"] = {}
-        for benchmark, speculation in POINT_MATRIX:
-            if speculation != "redirect":
-                continue  # specialization only exists for redirect points
-            sample = measure_specialized_replay(
-                benchmark, scale=scale, warmup=warmup, repeats=repeats)
-            report["specialized"][benchmark] = sample
-            echo(f"{benchmark} specialized replay: "
-                 f"{sample['specialized_sim_ips']:,.0f} sim-inst/s vs "
-                 f"kernel {sample['kernel_sim_ips']:,.0f} "
-                 f"({sample['specialized_vs_kernel']:.2f}x; codegen "
-                 f"{sample['phases']['codegen_seconds']:.3f}s, results "
-                 "identical)")
+        for section, configuration in (("kernel", "baseline"),
+                                       ("arvi_kernel", "current")):
+            for benchmark in redirect:
+                sample = measure_kernel_replay(
+                    benchmark, configuration, scale=scale, warmup=warmup,
+                    repeats=repeats)
+                if (section == "kernel" and pr4 is not None
+                        and pr4.get("scale") == scale
+                        and pr4.get("warmup") == warmup):
+                    base = pr4.get("points", {}).get(benchmark)
+                    if base:
+                        sample["kernel_vs_pr4_replay"] = round(
+                            sample["kernel_sim_ips"] / base, 3)
+                report[section][benchmark] = sample
+                echo(f"{benchmark} {configuration} kernel replay: "
+                     f"{sample['kernel_sim_ips']:,.0f} sim-inst/s vs live "
+                     f"{sample['live_sim_ips']:,.0f} "
+                     f"({sample['kernel_vs_live']:.2f}x; lower "
+                     f"{sample['phases']['lower_seconds']:.3f}s, results "
+                     "identical)")
 
         grid = measure_grid_trace(scale=scale, warmup=warmup, jobs=jobs)
         report["grid_trace"] = grid
@@ -822,11 +502,6 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
                 if base and base.get("sim_ips"):
                     speedups[key] = round(
                         sample["sim_ips"] / base["sim_ips"], 3)
-            for benchmark, sample in report.get("trace_replay", {}).items():
-                base = baseline.get("points", {}).get(f"{benchmark}/redirect")
-                if base and base.get("sim_ips"):
-                    speedups[f"{benchmark}/redirect via trace replay"] = (
-                        round(sample["replay_sim_ips"] / base["sim_ips"], 3))
             for benchmark, sample in report.get("kernel", {}).items():
                 if benchmark == "pr4_baseline":
                     continue
@@ -869,8 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-grid", action="store_true",
                         help="skip the batched-vs-per-point grid run")
     parser.add_argument("--skip-trace", action="store_true",
-                        help="skip the trace-replay comparison (also "
-                             "skips its replay==live correctness gate)")
+                        help="skip the kernel-replay comparisons (also "
+                             "skips their kernel==live correctness gates)")
     parser.add_argument("--obs-gate", type=float, default=3.0,
                         help="fail if telemetry overhead exceeds this "
                              "percentage (default 3.0; 0 disables the "

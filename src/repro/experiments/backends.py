@@ -183,21 +183,18 @@ def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
     """Pay a batch's one-time trace-lowering cost up front, observably.
 
     Returns True only when the compiled kernel applies to this point
-    (a ``redirect`` point replaying a trace, ``REPRO_KERNEL`` on — the
-    kernel now covers the ARVI configurations too, so every redirect
-    configuration shares the lowered form) *and*
-    the lowering pass actually ran now; the caller then reports it as a
+    (a ``redirect`` point replaying a trace — every redirect
+    configuration shares the lowered form) *and* the lowering pass
+    actually ran now; the caller then reports it as a
     :data:`~repro.pipeline.kernel.LOWER_TICK` progress tick, which the
     scheduler turns into a ``phase="lower"`` event — so the first point
     of a batch never looks stalled behind the lowering pass.  Any
     failure here is deferred: the point itself will surface it.
     """
-    from repro.experiments.tracing import kernel_mode
     from repro.pipeline.kernel import ensure_lowered, is_lowered
     from repro.workloads.registry import get_program
 
-    if (trace is None or point.speculation != "redirect"
-            or not kernel_mode()):
+    if trace is None or point.speculation != "redirect":
         return False
     try:
         program = get_program(point.benchmark, scale=point.scale,
@@ -564,8 +561,8 @@ class QueueBackend(ExecutionBackend):
     replay a single parent-side functional run instead of re-running the
     interpreter per host (``trace_source`` in each result records what
     the worker actually used: ``shipped`` / ``local`` / ``live``; the
-    sibling ``kernel_source`` records how replays ran: ``kernel`` /
-    ``interpreted`` / ``live`` — workers lower shipped traces locally).
+    sibling ``kernel_source`` records how points ran: ``kernel`` /
+    ``live`` — workers lower shipped traces locally).
 
     Fault model: a lease that stops heartbeating (crashed or wedged
     worker) or a result that fails its checksum re-queues the job, up to

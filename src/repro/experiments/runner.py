@@ -33,12 +33,7 @@ from repro.experiments.plan import (
     point_key,
 )
 from repro.experiments.scheduler import ProgressCallback, run_plan
-from repro.experiments.tracing import (
-    kernel_mode,
-    load_or_record,
-    spec_mode,
-    trace_mode,
-)
+from repro.experiments.tracing import load_or_record, trace_mode
 from repro.obs.interval import IntervalSampler
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
@@ -48,9 +43,8 @@ from repro.pipeline.kernel import (
     is_lowered,
     kernel_run,
 )
-from repro.pipeline.specialize import specialized_run
 from repro.pipeline.stats import SimulationResult
-from repro.pipeline.trace import CommittedTrace, TraceReplayCore
+from repro.pipeline.trace import CommittedTrace
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import BENCHMARKS, get_program
 
@@ -94,18 +88,13 @@ def execute_point(point: ExperimentPoint, *,
 
     ``wrongpath`` points always run the live core.
 
-    When a trace replays and the compiled kernel is on (``REPRO_KERNEL``,
-    :func:`~repro.experiments.tracing.kernel_mode`), every redirect
-    configuration runs over the lowered trace — ``baseline`` as the
-    stream pass, the ARVI configurations as the fused pass — and with
-    ``REPRO_KERNEL_SPEC`` on, stream-kind points first try the
-    trace-specialized generated module.  Anything a tier cannot express
-    falls through to the next (specialized -> kernel -> interpreted),
-    counted in ``kernel_fallback_total`` and attributed to the point in
-    the run ledger.  ``info``, when given, reports which path actually
-    ran: ``info["kernel_source"]`` is ``"specialized"``, ``"kernel"``,
-    ``"interpreted"`` or ``"live"`` (mirroring the backends'
-    ``trace_source``).
+    A replayed trace runs through the compiled kernel over the lowered
+    trace — ``baseline`` as the stream pass, the ARVI configurations as
+    the fused pass.  Anything the kernel cannot express falls back to
+    the live engine, counted in ``kernel_fallback_total`` and attributed
+    to the point in the run ledger.  ``info``, when given, reports which
+    path actually ran: ``info["kernel_source"]`` is ``"kernel"`` or
+    ``"live"`` (mirroring the backends' ``trace_source``).
     """
     point.validate()
     if trace is not None and not isinstance(trace, CommittedTrace) \
@@ -148,22 +137,18 @@ def _execute_phases(point: ExperimentPoint,
     config = machine_for_depth(point.pipeline_depth,
                                speculation=point.speculation)
 
-    core = None
     if point.speculation == "redirect" and trace is not False:
         if trace is None and trace_mode() == "disk":
             trace = load_or_record(point.benchmark, point.scale, point.seed)
         if trace is not None:
-            if kernel_mode():
-                replayed = _compiled_replay(point, program, trace, config,
-                                            phase_seconds, perf)
-                if replayed is not None:
-                    result, source = replayed
-                    if info is not None:
-                        info["kernel_source"] = source
-                    return result
-            core = TraceReplayCore(program, trace)
+            result = _kernel_replay(point, program, trace, config,
+                                    phase_seconds, perf)
+            if result is not None:
+                if info is not None:
+                    info["kernel_source"] = "kernel"
+                return result
     if info is not None:
-        info["kernel_source"] = "interpreted" if core is not None else "live"
+        info["kernel_source"] = "live"
 
     if point.configuration == "baseline":
         predictor = build_predictor(LevelTwoKind.HYBRID, config)
@@ -177,13 +162,10 @@ def _execute_phases(point: ExperimentPoint,
     every = obs.interval_cycles() if telemetry is not None else 0
     sampler = IntervalSampler(every) if every else None
 
-    phase = "replay" if core is not None else "live"
     start = perf()
-    with obs.span(phase, kind="phase", attrs={
-            "phase": phase,
-            "mode": "interpreted" if core is not None else "live"}):
+    with obs.span("live", kind="phase", attrs={"phase": "live"}):
         engine = PipelineEngine(program, config, predictor, value_mode=mode,
-                                warmup_instructions=point.warmup, core=core,
+                                warmup_instructions=point.warmup,
                                 sampler=sampler)
         result = engine.run()
         if sampler is not None and telemetry is not None:
@@ -192,17 +174,16 @@ def _execute_phases(point: ExperimentPoint,
                                attrs=sample.to_attrs())
                 telemetry.observe("engine.ddt_chain_length",
                                   sample.chain_length)
-    phase_seconds[phase] = perf() - start
+    phase_seconds["live"] = perf() - start
     return result
 
 
-def _kernel_fallback(point: ExperimentPoint, exc: Exception,
-                     tier: str) -> None:
+def _kernel_fallback(point: ExperimentPoint, exc: Exception) -> None:
     """Count and attribute one compiled-replay fallback.
 
     ``kernel_fallback_total{reason=...}`` aggregates across a run; the
     ``kernel_fallback`` ledger event carries the point key (prefix) and
-    grid coordinates so an interpreted point in a grid is attributable
+    grid coordinates so a live point in a traced grid is attributable
     from the run ledger alone.
     """
     obs.inc("kernel_fallback_total",
@@ -212,24 +193,20 @@ def _kernel_fallback(point: ExperimentPoint, exc: Exception,
         "benchmark": point.benchmark,
         "configuration": point.configuration,
         "depth": point.pipeline_depth,
-        "tier": tier,
+        "tier": "kernel",
         "reason": str(exc)[:200]})
 
 
-def _compiled_replay(point: ExperimentPoint, program, trace, config,
-                     phase_seconds: dict[str, float],
-                     perf) -> "tuple[SimulationResult, str] | None":
-    """Try the compiled replay tiers for one redirect point.
+def _kernel_replay(point: ExperimentPoint, program, trace, config,
+                   phase_seconds: dict[str, float],
+                   perf) -> "SimulationResult | None":
+    """Replay one redirect point through the compiled kernel.
 
-    ``baseline`` maps to the stream kernel (``LevelTwoKind.HYBRID``);
-    the paper's ARVI configurations map to the fused ARVI pass.  With
-    ``REPRO_KERNEL_SPEC`` on, stream-kind points first try the
-    trace-specialized generated module (its one-time codegen is timed
-    as its own ``codegen`` phase).  Returns ``(result, source)`` with
-    ``source`` in {"specialized", "kernel"}, or None when every tier
-    declined — each fallback is counted and attributed via
-    :func:`_kernel_fallback`, and the caller proceeds to the
-    interpreted replay.
+    ``baseline`` maps to the stream pass (``LevelTwoKind.HYBRID``); the
+    paper's ARVI configurations map to the fused ARVI pass.  Returns
+    None when the kernel declines the point — the fallback is counted
+    and attributed via :func:`_kernel_fallback`, and the caller runs
+    the live engine.
     """
     if point.configuration == "baseline":
         kind, value_mode = LevelTwoKind.HYBRID, ValueMode.CURRENT
@@ -243,21 +220,6 @@ def _compiled_replay(point: ExperimentPoint, program, trace, config,
                           attrs={"phase": "lower"}):
                 ensure_lowered(program, trace)
             phase_seconds["lower"] = perf() - start
-        if kind is LevelTwoKind.HYBRID and spec_mode():
-            try:
-                start = perf()
-                with obs.span("replay", kind="phase", attrs={
-                        "phase": "replay", "mode": "specialized"}):
-                    result = specialized_run(
-                        program, trace, config, kind,
-                        warmup_instructions=point.warmup,
-                        phase_seconds=phase_seconds)
-                phase_seconds["replay"] = (
-                    perf() - start - phase_seconds.get("codegen", 0.0))
-            except KernelUnsupported as exc:
-                _kernel_fallback(point, exc, "specialized")
-            else:
-                return result, "specialized"
         start = perf()
         with obs.span("replay", kind="phase", attrs={
                 "phase": "replay", "mode": "kernel"}):
@@ -268,9 +230,9 @@ def _compiled_replay(point: ExperimentPoint, program, trace, config,
                 arvi_config=point.arvi_config)
         phase_seconds["replay"] = perf() - start
     except KernelUnsupported as exc:
-        _kernel_fallback(point, exc, "kernel")
+        _kernel_fallback(point, exc)
         return None
-    return result, "kernel"
+    return result
 
 
 def run_point(point: ExperimentPoint, *, scale: float | None = None,

@@ -4,11 +4,13 @@ The mechanics of recording and replaying a committed instruction stream
 live in :mod:`repro.pipeline.trace`; this module decides *when* the
 experiment service uses them and where recorded traces persist:
 
-* :func:`trace_mode` — the ``REPRO_TRACE`` knob: ``"memory"`` (default)
-  shares one in-memory recording across the redirect points of a worker
-  batch or serial sweep; ``"disk"`` additionally persists traces so
-  *cold single points* (and later processes) skip re-interpretation;
-  ``"0"`` disables replay entirely.
+* :func:`trace_mode` — the ``REPRO_TRACE`` knob, the one switch between
+  the two execution paths: ``"memory"`` (default) shares one in-memory
+  recording across the redirect points of a worker batch or serial
+  sweep, each replayed through the compiled kernel
+  (:mod:`repro.pipeline.kernel`); ``"disk"`` additionally persists
+  traces so *cold single points* (and later processes) skip
+  re-interpretation; ``"0"`` runs every point on the live engine.
 * :class:`TraceStore` — content-addressed ``*.trace`` files next to the
   result cache (``benchmarks/results/traces/``, relocate with
   ``REPRO_TRACE_DIR``).  Keys include the same package source
@@ -16,14 +18,6 @@ experiment service uses them and where recorded traces persist:
   code_fingerprint`), so editing the simulator or a workload strands
   stale traces under dead keys instead of replaying them; corrupted or
   truncated files are misses that trigger re-recording, never errors.
-* :func:`kernel_mode` — the ``REPRO_KERNEL`` knob: whether replays of a
-  committed trace go through the compiled array kernel
-  (:mod:`repro.pipeline.kernel`, default) or the interpreted engine
-  loop — results are bit-for-bit identical either way.
-* :func:`spec_mode` — the ``REPRO_KERNEL_SPEC`` knob (default off):
-  whether stream-kind replays additionally try the trace-specialized
-  generated module (:mod:`repro.pipeline.specialize`) before the
-  kernel — again bit-for-bit identical, just faster once generated.
 * :class:`SharedTraces` — the per-batch/per-sweep pool.  Recording costs
   one functional run, so a trace is only recorded when it will amortize:
   at least two redirect points of the same workload identity
@@ -56,46 +50,45 @@ from repro.workloads.registry import get_program
 TRACE_KEY_SCHEMA_VERSION = 1
 
 
+#: Accepted ``REPRO_TRACE`` spellings, by mode ("" is the default).
+_TRACE_MODES = {
+    "off": ("0", "false", "no", "off"),
+    "memory": ("", "1", "true", "yes", "on", "memory"),
+    "disk": ("disk",),
+}
+
+
 def trace_mode() -> str:
-    """``REPRO_TRACE`` -> "off" | "memory" | "disk" (default "memory")."""
-    raw = os.environ.get("REPRO_TRACE", "1").strip().lower()
-    if raw in ("0", "false", "no", "off"):
-        return "off"
-    if raw == "disk":
-        return "disk"
-    return "memory"
+    """``REPRO_TRACE`` -> "off" | "memory" | "disk" (default "memory").
+
+    Any other value is a typo that would silently pick a path, so it
+    raises ``ValueError`` naming the accepted values.
+    """
+    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
+    for mode, spellings in _TRACE_MODES.items():
+        if raw in spellings:
+            return mode
+    accepted = sorted(v for spellings in _TRACE_MODES.values()
+                      for v in spellings if v)
+    raise ValueError(
+        f"unknown REPRO_TRACE {raw!r}; expected one of {accepted}")
 
 
 def kernel_mode() -> bool:
-    """``REPRO_KERNEL`` -> whether the compiled replay kernel is on.
+    """Whether traced redirect points replay through the kernel.
 
-    Default on: when a redirect ``baseline`` point replays a committed
-    trace, :func:`~repro.experiments.runner.execute_point` lowers the
-    trace (:mod:`repro.pipeline.kernel`) and evaluates the config as an
-    array pass instead of the interpreted engine loop — bit-for-bit
-    equal results, enforced by the equality suite and ``repro.bench``.
-    Set ``REPRO_KERNEL=0`` to force the interpreted path everywhere.
+    Kept only because the benchmark harness records it; it is
+    ``REPRO_TRACE`` != off, not a knob of its own.
     """
-    raw = os.environ.get("REPRO_KERNEL", "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
+    return trace_mode() != "off"
 
 
 def spec_mode() -> bool:
-    """``REPRO_KERNEL_SPEC`` -> whether trace-specialized replay is on.
+    """Always False: the generated-code replay tier was removed.
 
-    Default off.  When on (and the kernel is on), redirect points whose
-    configuration the stream kernel expresses try the trace-specialized
-    replay first: :mod:`repro.pipeline.specialize` generates a flattened
-    per-workload replay module (constants baked, hot segments unrolled),
-    caches the source content-addressed under ``REPRO_KERNEL_SPEC_DIR``
-    (default ``benchmarks/results/specialized/``) and executes it —
-    bit-for-bit equal to ``kernel_run`` (enforced by the equality suite
-    and ``repro.bench``), ~1.4x faster once generated.  Anything the
-    specializer cannot express falls through to the kernel, then the
-    interpreted replay, exactly like ``REPRO_KERNEL`` fallbacks.
+    Kept only because the benchmark harness records it.
     """
-    raw = os.environ.get("REPRO_KERNEL_SPEC", "0").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    return False
 
 
 def default_trace_dir() -> pathlib.Path:

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import pathlib
 import signal
+import sys
 import threading
 import time
 from typing import Callable, Iterator
@@ -137,6 +139,24 @@ def point_timeout() -> float:
     return value if value > 0.0 else 0.0
 
 
+def _in_interpreter_callback(frame) -> bool:
+    """Whether ``frame`` runs inside a gc callback or the unraisable hook.
+
+    The interpreter calls these from C and swallows what they raise (a
+    gc callback's exception goes to ``sys.unraisablehook``; one raised
+    in a Python unraisable hook breaks the hook itself), so a deadline
+    raised there would never reach the point.
+    """
+    hooks = (*gc.callbacks, sys.unraisablehook)
+    codes = {getattr(getattr(hook, "func", hook), "__code__", None)
+             for hook in hooks}
+    while frame is not None:
+        if frame.f_code in codes:
+            return True
+        frame = frame.f_back
+    return False
+
+
 @contextlib.contextmanager
 def point_deadline(seconds: float | None = None) -> Iterator[None]:
     """Raise :class:`PointTimeout` if the body runs past the deadline.
@@ -153,14 +173,14 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
         return
 
     def _overrun(signum, frame):
+        if _in_interpreter_callback(frame):
+            return  # could not reach the point; the next firing retries
         raise PointTimeout(
             f"point exceeded REPRO_POINT_TIMEOUT={seconds:g}s deadline")
 
     previous_handler = signal.signal(signal.SIGALRM, _overrun)
-    # Repeating interval: if the raise lands inside a C-level callback
-    # frame (e.g. a gc callback) the interpreter swallows it as
-    # unraisable — the next firing retries until one lands in
-    # interruptible bytecode.
+    # Repeating interval: a firing that lands inside an interpreter
+    # callback is skipped, so the next one must come.
     signal.setitimer(signal.ITIMER_REAL, seconds, 0.005)
     try:
         yield

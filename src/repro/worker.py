@@ -68,8 +68,7 @@ from repro.pipeline.trace import CommittedTrace
 
 #: kernel_source aggregation: a job reports the "best" path any of its
 #: points took (mirrors trace_source, which likewise summarizes per job).
-_KERNEL_SOURCE_RANK = {"live": 0, "interpreted": 1, "kernel": 2,
-                       "specialized": 3}
+_KERNEL_SOURCE_RANK = {"live": 0, "kernel": 1}
 
 
 def _describe_exception(exc: Exception) -> dict:

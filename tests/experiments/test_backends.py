@@ -340,13 +340,11 @@ class TestQueueBackendEndToEnd:
         # acceptance marker for cluster-shared functional runs.
         assert backend.trace_sources
         assert set(backend.trace_sources.values()) == {"shipped"}
-        # ...and workers lowered the shipped trace locally: batches with
-        # a baseline point report the compiled kernel, ARVI-only batches
-        # the interpreted replay — never "live".
+        # ...and workers lowered the shipped trace locally: every
+        # redirect batch, baseline or ARVI, replays through the
+        # compiled kernel — never "live".
         assert set(backend.trace_sources) == set(backend.kernel_sources)
-        assert set(backend.kernel_sources.values()) <= {
-            "kernel", "interpreted"}
-        assert "kernel" in backend.kernel_sources.values()
+        assert set(backend.kernel_sources.values()) == {"kernel"}
 
     def test_worker_crash_mid_batch_recovers(self, serial_results):
         """Kill a worker mid-batch (fault injection): the lease expires,

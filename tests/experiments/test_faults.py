@@ -23,6 +23,7 @@ queue grid either completes bit-identical to the fault-free serial run
 or fails with a typed error — never a hang, never silent divergence.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -400,6 +401,30 @@ class TestPointDeadline:
                 time.sleep(5)
         assert time.monotonic() - started < 2.0
         time.sleep(0.1)                               # timer must be disarmed
+
+    def test_deadline_never_fires_inside_a_gc_callback(self,
+                                                       monkeypatch):
+        """An alarm landing in a gc callback cannot reach the point (the
+        interpreter swallows it as unraisable, and a host's Python
+        unraisable hook can itself be interrupted); the deadline must
+        wait for the next firing in the point's own code."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                time.sleep(0.02)              # the first alarm lands here
+
+        gc.callbacks.append(slow_callback)
+        try:
+            with pytest.raises(PointTimeout):
+                with point_deadline(0.001):
+                    gc.collect()
+                    while True:
+                        pass
+        finally:
+            gc.callbacks.remove(slow_callback)
+        assert unraisable == []
 
     def test_noop_off_main_thread(self):
         outcome = []

@@ -19,7 +19,9 @@ from repro.experiments.tracing import (
     SharedTraces,
     TraceStore,
     default_trace_dir,
+    kernel_mode,
     load_or_record,
+    spec_mode,
     trace_key,
     trace_mode,
 )
@@ -48,6 +50,42 @@ class TestKnobs:
         assert trace_mode() == "memory"
         monkeypatch.setenv("REPRO_TRACE", "disk")
         assert trace_mode() == "disk"
+
+    def test_trace_mode_rejects_unknown_values(self, monkeypatch):
+        # REPRO_TRACE alone picks kernel or live, so a typo must not
+        # silently pick one.
+        monkeypatch.setenv("REPRO_TRACE", "dsik")
+        with pytest.raises(ValueError, match="REPRO_TRACE 'dsik'") as err:
+            trace_mode()
+        for accepted in ("'0'", "'1'", "'disk'", "'memory'"):
+            assert accepted in str(err.value)
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("TRUE", "memory"), (" Yes ", "memory"), ("on", "memory"),
+        ("memory", "memory"), ("DISK", "disk"), (" off ", "off"),
+        ("No", "off"), ("False", "off"),
+    ])
+    def test_every_accepted_spelling(self, monkeypatch, raw, expected):
+        # Case and surrounding whitespace are normalized; the kernel is
+        # used exactly when traces are.
+        monkeypatch.setenv("REPRO_TRACE", raw)
+        assert trace_mode() == expected
+        assert kernel_mode() is (expected != "off")
+
+    def test_unknown_value_fails_the_point(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "dsik")
+        with pytest.raises(ValueError, match="REPRO_TRACE"):
+            execute_point(point())
+
+    def test_benchmark_shims(self, monkeypatch):
+        # kernel_mode/spec_mode are no knobs of their own: one follows
+        # REPRO_TRACE, the other is constant.
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert kernel_mode() is False
+        assert spec_mode() is False
+        monkeypatch.setenv("REPRO_TRACE", "disk")
+        assert kernel_mode() is True
+        assert spec_mode() is False
 
     def test_default_trace_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))

@@ -1,10 +1,12 @@
-"""Trace-record/replay core (DESIGN.md §8).
+"""Committed-trace recording (DESIGN.md §8).
 
-The hard invariant: a replayed committed stream drives the timing engine
-to a ``SimulationResult`` bit-for-bit equal (``==``) to the live
-functional core, across configurations and depths — and the serialized
-form round-trips losslessly.  Malformed traces are loud ``TraceError``\\ s
-(the store layer turns them into misses), never silent divergence.
+The hard invariant: the recorded columns reproduce the live functional
+core's committed stream exactly — every field the timing model reads —
+and the serialized form round-trips losslessly (a loaded trace replays
+through the kernel to the live engine's result).  Malformed traces are
+loud ``TraceError``\\ s (the store layer turns them into misses), never
+silent divergence.  Kernel == live across configurations is
+``test_kernel.py`` / ``test_kernel_arvi.py``.
 """
 
 import functools
@@ -14,14 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arvi import ValueMode
+from repro.experiments.plan import ExperimentPoint
+from repro.experiments.runner import execute_point
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
 from repro.pipeline.functional import FunctionalCore
+from repro.pipeline.kernel import ensure_lowered, kernel_run
 from repro.pipeline.trace import (
     CommittedTrace,
     TraceError,
     TraceRecorder,
-    TraceReplayCore,
     record_trace,
 )
 from repro.predictors.twolevel import LevelTwoKind
@@ -40,34 +44,50 @@ def trace(program):
     return record_trace(program)
 
 
-def engine_result(program, *, core=None, kind=LevelTwoKind.HYBRID,
-                  mode=ValueMode.CURRENT, depth=20, warmup=500,
-                  speculation="redirect"):
-    config = machine_for_depth(depth, speculation=speculation)
-    predictor = build_predictor(kind, config)
-    engine = PipelineEngine(program, config, predictor, value_mode=mode,
-                            warmup_instructions=warmup, core=core)
-    return engine.run()
+def engine_result(program, *, kind=LevelTwoKind.HYBRID,
+                  mode=ValueMode.CURRENT, depth=20, warmup=500):
+    """The live engine run every replay of a trace must equal."""
+    config = machine_for_depth(depth)
+    return PipelineEngine(program, config, build_predictor(kind, config),
+                          value_mode=mode,
+                          warmup_instructions=warmup).run()
+
+
+def replay_result(program, trace, *, kind=LevelTwoKind.HYBRID,
+                  mode=ValueMode.CURRENT, depth=20, warmup=500):
+    """The same run replayed from the committed trace by the kernel."""
+    return kernel_run(program, trace, machine_for_depth(depth), kind,
+                      warmup_instructions=warmup, value_mode=mode)
+
+
+def resolved_point(**overrides):
+    fields = dict(benchmark="m88ksim", configuration="baseline",
+                  pipeline_depth=20, scale=SCALE, warmup=500)
+    fields.update(overrides)
+    return ExperimentPoint(**fields).resolve()
 
 
 class TestRecording:
     def test_stream_fidelity_field_by_field(self, program, trace):
-        """Every engine-consumed DynInst field replays exactly (operand
-        values are deliberately not recorded and replay as zero)."""
+        """Every column matches the live functional core's committed
+        stream: the fields the timing model reads (operand values are
+        deliberately not recorded)."""
         live = FunctionalCore(program)
-        replay = TraceReplayCore(program, trace)
-        for expected in live.run():
-            actual = replay.step()
-            assert actual is not None
-            for field in ("seq", "pc", "op", "rd", "rs1", "rs2", "result",
-                          "taken", "next_pc", "addr", "store_value",
-                          "is_load", "is_store", "is_cond_branch"):
-                assert getattr(actual, field) == getattr(expected, field), (
-                    field, expected.seq)
-            assert actual.sval1 == 0 and actual.sval2 == 0
-        assert replay.step() is None
-        assert replay.halted == live.halted
-        assert replay.instruction_count == live.instruction_count
+        dyns = list(live.run())
+        assert trace.length == len(dyns) == live.instruction_count
+        assert list(trace.pcs) == [d.pc for d in dyns]
+        assert list(trace.results) == [
+            d.result for d in dyns if d.result is not None]
+        taken = [d.taken for d in dyns if d.taken is not None]
+        assert trace.branch_count == len(taken)
+        assert [bool((trace.taken_bits[j >> 3] >> (j & 7)) & 1)
+                for j in range(trace.branch_count)] == taken
+        assert list(trace.addrs) == [
+            d.addr for d in dyns if d.addr is not None]
+        assert list(trace.store_values) == [
+            d.store_value for d in dyns if d.store_value is not None]
+        assert trace.final_next_pc == dyns[-1].next_pc
+        assert trace.halted == live.halted
 
     def test_recorder_is_single_use(self, program):
         recorder = TraceRecorder(program)
@@ -99,19 +119,20 @@ class TestReplayEquality:
     def test_replay_equals_live_simulation(self, program, trace, kind,
                                            mode, depth):
         live = engine_result(program, kind=kind, mode=mode, depth=depth)
-        replayed = engine_result(
-            program, core=TraceReplayCore(program, trace), kind=kind,
-            mode=mode, depth=depth)
+        replayed = replay_result(program, trace, kind=kind, mode=mode,
+                                 depth=depth)
         assert replayed == live
 
     def test_one_trace_drives_many_engines(self, program, trace):
-        """The materialized stream is shared: replaying twice reuses the
-        same DynInst objects and still matches the live run."""
-        first = engine_result(program, core=TraceReplayCore(program, trace))
-        second = engine_result(program, core=TraceReplayCore(program, trace))
-        live = engine_result(program)
-        assert first == second == live
-        assert trace.materialize(program) is trace.materialize(program)
+        """One recording serves every configuration: replaying it again
+        reuses the same lowered form and still matches the live run."""
+        first = replay_result(program, trace)
+        lowered = ensure_lowered(program, trace)
+        second = replay_result(program, trace)
+        arvi = replay_result(program, trace, kind=LevelTwoKind.ARVI)
+        assert first == second == engine_result(program)
+        assert arvi == engine_result(program, kind=LevelTwoKind.ARVI)
+        assert ensure_lowered(program, trace) is lowered
 
 
 class TestRoundTrip:
@@ -124,8 +145,12 @@ class TestRoundTrip:
         assert loaded.addrs == trace.addrs
         assert loaded.store_values == trace.store_values
         assert loaded.halted == trace.halted
-        assert (engine_result(program, core=TraceReplayCore(program, loaded))
-                == engine_result(program))
+        config = machine_for_depth(20)
+        live = PipelineEngine(
+            program, config, build_predictor(LevelTwoKind.HYBRID, config),
+            value_mode=ValueMode.CURRENT, warmup_instructions=500).run()
+        assert kernel_run(program, loaded, config,
+                          warmup_instructions=500) == live
 
     @pytest.mark.parametrize("mangle", [
         lambda blob: b"",
@@ -187,45 +212,34 @@ class TestWireFuzz:
 
 
 class TestGuards:
-    def test_wrongpath_rejects_replay_core(self, program, trace):
-        with pytest.raises(ValueError, match="wrongpath"):
-            engine_result(program, core=TraceReplayCore(program, trace),
-                          speculation="wrongpath")
-
     def test_wrong_program_rejected(self, trace):
         other = get_program("compress", scale=SCALE, seed=1)
         with pytest.raises(TraceError, match="does not match"):
-            TraceReplayCore(other, trace)
+            trace.validate_for(other)
 
-    def test_engine_requires_matching_program(self, program, trace):
-        other = get_program("li", scale=SCALE, seed=1)
-        config = machine_for_depth(20)
-        with pytest.raises(ValueError, match="different program"):
-            PipelineEngine(other, config,
-                           build_predictor(LevelTwoKind.HYBRID, config),
-                           core=TraceReplayCore(program, trace))
+    def test_wrongpath_rejects_replay_core(self, trace):
+        """A wrong-path point never replays a trace, even one handed to
+        it explicitly: it runs the live engine."""
+        point = resolved_point(speculation="wrongpath")
+        info = {}
+        result = execute_point(point, trace=trace, info=info)
+        assert info["kernel_source"] == "live"
+        assert result == execute_point(point, trace=False)
+
+    def test_engine_requires_matching_program(self, trace):
+        # A trace of another workload is a loud error at the point
+        # level, not a silent live fallback or a divergent replay.
+        with pytest.raises(TraceError, match="does not match"):
+            execute_point(resolved_point(benchmark="li"), trace=trace)
 
     def test_exhausted_trace_raises_instead_of_diverging(self, program):
         short = record_trace(program, max_instructions=50)
-        core = TraceReplayCore(program, short)
-        for _ in range(50):
-            assert core.step() is not None
         with pytest.raises(TraceError, match="exhausted"):
-            core.step()
-
-    def test_take_stream_respects_budget_and_freshness(self, program, trace):
-        core = TraceReplayCore(program, trace)
-        assert core.take_stream(trace.length - 1) is None  # would truncate
-        stream = core.take_stream(10_000_000)
-        assert stream is not None and len(stream) == trace.length
-        assert core.halted and core.instruction_count == trace.length
-        assert core.step() is None
-        # A partially stepped core can't hand over wholesale.
-        stepped = TraceReplayCore(program, trace)
-        stepped.step()
-        assert stepped.take_stream(10_000_000) is None
+            execute_point(resolved_point(), trace=short)
 
     def test_truncated_trace_engine_run_raises(self, program):
+        # The fused ARVI pass guards truncation like the stream pass.
         short = record_trace(program, max_instructions=50)
         with pytest.raises(TraceError, match="exhausted"):
-            engine_result(program, core=TraceReplayCore(program, short))
+            kernel_run(program, short, machine_for_depth(20),
+                       LevelTwoKind.ARVI)
