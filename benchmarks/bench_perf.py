@@ -3,7 +3,7 @@
 Runs the ``repro.bench`` harness — simulated-instructions/sec and
 per-point wall time for m88ksim/compress in both speculation modes, the
 kernel-replay vs live-engine comparisons (whose kernel==live equality is
-a hard correctness gate), and the batched/traced cold grids — and
+a hard correctness gate), and the traced-vs-live cold grid — and
 refreshes ``BENCH_perf.json`` at the repository root so the perf
 trajectory is tracked alongside the paper artifacts.  ``REPRO_SCALE``
 rescales the measured points exactly like the figure benchmarks (the
@@ -34,9 +34,6 @@ def test_perf_harness(save_result, scale):
                 continue
             assert sample["kernel_sim_ips"] > 0, f"{benchmark}: bad replay"
             assert sample["phases"]["record_seconds"] >= 0
-    grid = report.get("grid_batching")
-    if grid is not None:
-        assert grid["batched_seconds"] > 0
     grid_trace = report.get("grid_trace")
     if grid_trace is not None:
         assert grid_trace["traced_seconds"] > 0

@@ -10,10 +10,11 @@ completed points replay from ``benchmarks/results/cache/`` (DESIGN.md §6).
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
+
+from repro.settings import Settings
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -36,9 +37,9 @@ def save_result():
 
 @pytest.fixture(scope="session")
 def scale() -> float:
-    return float(os.environ.get("REPRO_SCALE", "1.0"))
+    return Settings.from_env().scale
 
 
 @pytest.fixture(scope="session")
 def warmup() -> int:
-    return int(os.environ.get("REPRO_WARMUP", "10000"))
+    return Settings.from_env().warmup

@@ -18,9 +18,6 @@ is tracked from PR 3 onward:
 * **ARVI kernel replay** (DESIGN.md §13): the ``current`` ARVI
   configuration through the fused kernel pass vs live — the paper's
   own sweep axis, hard-gated bit-for-bit like the stream kinds;
-* **grid batching**: a cold same-benchmark grid (cache disabled) run
-  twice through the process-pool scheduler — once with in-worker point
-  batching, once per-point — to track the scheduling-overhead win;
 * **grid trace amortization**: a redirect configuration x depth grid run
   with trace sharing on vs off (``REPRO_TRACE``), tracking the
   batch-amortized record-once/replay-many win;
@@ -35,13 +32,14 @@ recorded when the harness was introduced) that is preserved across runs;
 when the current run's scale/warmup match the baseline's, per-point and
 trace-replay speedups are reported against it.  Numbers are
 host-dependent — comparisons are only meaningful on the same machine.
+The report's ``settings`` section records the resolved ``REPRO_*`` knobs
+(:class:`repro.settings.Settings`) the harness ran under.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import platform
 import sys
@@ -52,19 +50,26 @@ from repro.experiments.plan import ExperimentPoint, plan_from_points
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
 from repro.pipeline.trace import TraceRecorder
+from repro.settings import (
+    DEFAULT_INTERVAL_CYCLES,
+    Settings,
+    env_override,
+    results_root,
+)
 from repro.workloads.registry import get_program
 
-#: v6: the interpreted and generated-code replay tiers are gone, so
-#: their ``trace_replay`` and codegen sections are dropped and
-#: ``kernel`` / ``arvi_kernel`` share one shape (kernel vs live,
-#: per-phase timings); v5: ``arvi_kernel`` + codegen sections, and the
-#: observability overhead re-measured as paired rounds /
-#: median-of-ratios; v4 sourced kernel phase timings from
-#: ``execute_point``'s ``info["phase_seconds"]`` + the ``observability``
-#: section with its CI gate (PR 7); v3 added the kernel section +
+#: v7: the ``grid_batching`` section left with ``REPRO_BATCH`` and a
+#: ``settings`` section records the resolved knobs; v6: the interpreted
+#: and generated-code replay tiers are gone, so their ``trace_replay``
+#: and codegen sections are dropped and ``kernel`` / ``arvi_kernel``
+#: share one shape (kernel vs live, per-phase timings); v5:
+#: ``arvi_kernel`` + codegen sections, and the observability overhead
+#: re-measured as paired rounds / median-of-ratios; v4 sourced kernel
+#: phase timings from ``execute_point``'s ``info["phase_seconds"]`` +
+#: the ``observability`` section + CI gate; v3 added the kernel section +
 #: carried PR 4 baseline (PR 6); v2 added trace_replay + grid_trace
 #: (PR 4).
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Single-point measurements: (benchmark, speculation mode).
 POINT_MATRIX = (
@@ -74,21 +79,16 @@ POINT_MATRIX = (
     ("compress", "wrongpath"),
 )
 
-#: Grid for the batching comparison: many small same-benchmark points
-#: (the CI-smoke / figure-grid shape) so the per-task scheduling overhead
-#: is a visible fraction of the work.
+#: Grid for the trace-sharing comparison: every redirect configuration
+#: of one workload at three depths (the Figure 6 shape).
 GRID_CONFIGURATIONS = ("baseline", "current", "load back", "perfect")
 GRID_DEPTHS = (20, 40, 60)
-GRID_SEEDS = tuple(range(1, 9))
 GRID_BENCHMARK = "m88ksim"
 
 
 def repo_root() -> pathlib.Path:
     """The checkout root (where ``BENCH_perf.json`` lives)."""
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if (root / "pyproject.toml").exists():
-        return root
-    return pathlib.Path.cwd()
+    return results_root().parents[1]
 
 
 def measure_point(benchmark: str, speculation: str, *, scale: float,
@@ -213,8 +213,6 @@ def measure_obs_overhead(benchmark: str = "m88ksim", *, scale: float,
 
     point = ExperimentPoint(benchmark, "baseline", 20, scale=scale,
                             warmup=warmup).resolve()
-    env_keys = ("REPRO_OBS", "REPRO_OBS_DIR", "REPRO_OBS_INTERVAL")
-    previous = {key: os.environ.get(key) for key in env_keys}
     pairs: list[tuple[float, float]] = []
     off_result = on_result = None
     # Twelve warm pairs minimum: single-run wall times on shared hosts
@@ -223,35 +221,26 @@ def measure_obs_overhead(benchmark: str = "m88ksim", *, scale: float,
     # noise comfortably inside it, and the off/on legs stay adjacent so
     # load drift cancels within each ratio.
     rounds = max(12, repeats) + 1  # round 0 is a discarded warmup pair
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for _ in range(rounds):
-                for key in env_keys:
-                    os.environ.pop(key, None)
-                gc.collect()  # the previous on-leg's dead ledger
-                # objects must not be collected inside the off-leg
-                start = time.perf_counter()
-                off_result = execute_point(point, trace=False)
-                off_elapsed = time.perf_counter() - start
+    # The interval knob only samples inside a telemetry run, so the
+    # off-leg runs with no sampler although the knob stays set.
+    with tempfile.TemporaryDirectory() as tmp, \
+            env_override({"REPRO_OBS_INTERVAL": "1"}):
+        for _ in range(rounds):
+            gc.collect()  # the previous on-leg's dead ledger
+            # objects must not be collected inside the off-leg
+            start = time.perf_counter()
+            off_result = execute_point(point, trace=False)
+            off_elapsed = time.perf_counter() - start
 
-                os.environ["REPRO_OBS"] = "1"
-                os.environ["REPRO_OBS_DIR"] = tmp
-                os.environ["REPRO_OBS_INTERVAL"] = "1"
-                telemetry = obs.start_run(label="bench-overhead", root=tmp)
-                try:
-                    gc.collect()
-                    start = time.perf_counter()
-                    on_result = execute_point(point, trace=False)
-                    on_elapsed = time.perf_counter() - start
-                finally:
-                    obs.close_run(telemetry)
-                pairs.append((off_elapsed, on_elapsed))
-    finally:
-        for key, value in previous.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+            telemetry = obs.start_run(label="bench-overhead", root=tmp)
+            try:
+                gc.collect()
+                start = time.perf_counter()
+                on_result = execute_point(point, trace=False)
+                on_elapsed = time.perf_counter() - start
+            finally:
+                obs.close_run(telemetry)
+            pairs.append((off_elapsed, on_elapsed))
 
     if on_result != off_result:  # the do-no-harm hard gate
         raise AssertionError(
@@ -265,55 +254,13 @@ def measure_obs_overhead(benchmark: str = "m88ksim", *, scale: float,
     return {
         "benchmark": benchmark,
         "instructions": instructions,
-        "interval_cycles": 50_000,
+        "interval_cycles": DEFAULT_INTERVAL_CYCLES,
         "rounds": len(warm),
         "off_sim_ips": round(instructions / off_median, 1),
         "on_sim_ips": round(instructions / on_median, 1),
         "off_wall_seconds": round(off_median, 4),
         "on_wall_seconds": round(on_median, 4),
         "overhead_pct": round((ratio - 1.0) * 100, 2),
-    }
-
-
-def measure_grid_batching(*, scale: float, warmup: int, jobs: int = 2,
-                          repeats: int = 2) -> dict:
-    """Cold same-benchmark grid: batched vs per-point worker submission.
-
-    Both runs bypass the result cache entirely, use the same worker count
-    and produce identical results (asserted); only the submission policy
-    differs.  Best-of-``repeats`` per mode to damp pool-startup noise.
-    """
-    points = [
-        ExperimentPoint(GRID_BENCHMARK, configuration, depth, scale=scale,
-                        warmup=warmup, seed=seed)
-        for configuration in GRID_CONFIGURATIONS
-        for depth in GRID_DEPTHS
-        for seed in GRID_SEEDS
-    ]
-    plan = plan_from_points(points)
-
-    timings: dict[bool, float] = {}
-    outcomes: dict[bool, dict] = {}
-    for _ in range(max(1, repeats)):
-        for batching in (True, False):
-            start = time.perf_counter()
-            outcomes[batching] = run_plan(plan, jobs=jobs, use_cache=False,
-                                          batch=batching)
-            elapsed = time.perf_counter() - start
-            if batching not in timings or elapsed < timings[batching]:
-                timings[batching] = elapsed
-
-    if outcomes[True] != outcomes[False]:  # pragma: no cover - invariant
-        raise AssertionError("batched and per-point grid results differ")
-    return {
-        "benchmark": GRID_BENCHMARK,
-        "points": len(plan),
-        "scale": scale,
-        "warmup": warmup,
-        "jobs": jobs,
-        "batched_seconds": round(timings[True], 4),
-        "per_point_seconds": round(timings[False], 4),
-        "batching_speedup": round(timings[False] / timings[True], 4),
     }
 
 
@@ -324,9 +271,8 @@ def measure_grid_trace(*, scale: float, warmup: int, jobs: int = 2,
     The same plan runs through the batched scheduler with trace sharing
     on (record once per batch, replay every point) and off (live core
     per point); results must be identical, only the wall time differs.
-    Unlike the batching grid this one uses the harness scale directly —
-    trace replay amortizes *simulation* work, so the points must be big
-    enough to measure.
+    The grid uses the harness scale directly — trace replay amortizes
+    *simulation* work, so the points must be big enough to measure.
     """
     points = [
         ExperimentPoint(GRID_BENCHMARK, configuration, depth, scale=scale,
@@ -338,22 +284,14 @@ def measure_grid_trace(*, scale: float, warmup: int, jobs: int = 2,
 
     timings: dict[str, float] = {}
     outcomes: dict[str, dict] = {}
-    previous = os.environ.get("REPRO_TRACE")
-    try:
-        for _ in range(max(1, repeats)):
-            for mode in ("1", "0"):
-                os.environ["REPRO_TRACE"] = mode
+    for _ in range(max(1, repeats)):
+        for mode in ("1", "0"):
+            with env_override({"REPRO_TRACE": mode}):
                 start = time.perf_counter()
-                outcomes[mode] = run_plan(plan, jobs=jobs, use_cache=False,
-                                          batch=True)
+                outcomes[mode] = run_plan(plan, jobs=jobs, use_cache=False)
                 elapsed = time.perf_counter() - start
-                if mode not in timings or elapsed < timings[mode]:
-                    timings[mode] = elapsed
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_TRACE", None)
-        else:
-            os.environ["REPRO_TRACE"] = previous
+            if mode not in timings or elapsed < timings[mode]:
+                timings[mode] = elapsed
 
     if outcomes["1"] != outcomes["0"]:  # the hard correctness gate
         raise AssertionError("trace-shared and live grid results differ")
@@ -401,8 +339,7 @@ def _pr4_baseline(output: pathlib.Path) -> dict | None:
 
 
 def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
-              jobs: int = 2, grid_scale: float | None = None,
-              skip_grid: bool = False, skip_trace: bool = False,
+              jobs: int = 2, skip_trace: bool = False,
               obs_gate: float = 3.0,
               output: pathlib.Path | None = None,
               echo=print) -> dict:
@@ -421,6 +358,7 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
         "scale": scale,
         "warmup": warmup,
         "repeats": repeats,
+        "settings": Settings.from_env().to_dict(),
         "points": {},
     }
 
@@ -480,18 +418,6 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
             f"telemetry overhead {sample['overhead_pct']:.2f}% exceeds "
             f"the {obs_gate:.1f}% gate (--obs-gate 0 disables)")
 
-    if not skip_grid:
-        # Tiny windows: the grid measures scheduling overhead, not the
-        # simulator, so each of its ~100 points should be milliseconds.
-        grid = measure_grid_batching(
-            scale=scale * 0.005 if grid_scale is None else grid_scale,
-            warmup=min(warmup, 100), jobs=jobs)
-        report["grid_batching"] = grid
-        echo(f"grid batching ({grid['points']} {GRID_BENCHMARK} points, "
-             f"{grid['jobs']} workers): batched {grid['batched_seconds']:.2f}s"
-             f" vs per-point {grid['per_point_seconds']:.2f}s "
-             f"({grid['batching_speedup']:.2f}x)")
-
     if baseline is not None:
         report["baseline"] = baseline
         if (baseline.get("scale") == scale
@@ -536,13 +462,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="best-of repeats per point (default 3)")
     parser.add_argument("--jobs", type=int, default=2,
                         help="workers for the grid comparison (default 2)")
-    parser.add_argument("--grid-scale", type=float, default=None,
-                        help="scale for the batching grid "
-                             "(default: --scale x 0.005 — the grid "
-                             "measures scheduling overhead, so its ~100 "
-                             "points are kept tiny)")
-    parser.add_argument("--skip-grid", action="store_true",
-                        help="skip the batched-vs-per-point grid run")
     parser.add_argument("--skip-trace", action="store_true",
                         help="skip the kernel-replay comparisons (also "
                              "skips their kernel==live correctness gates)")
@@ -555,7 +474,6 @@ def main(argv: list[str] | None = None) -> int:
                              "the repo root)")
     args = parser.parse_args(argv)
     run_bench(scale=args.scale, warmup=args.warmup, repeats=args.repeats,
-              jobs=args.jobs, grid_scale=args.grid_scale,
-              skip_grid=args.skip_grid, skip_trace=args.skip_trace,
+              jobs=args.jobs, skip_trace=args.skip_trace,
               obs_gate=args.obs_gate, output=args.output)
     return 0

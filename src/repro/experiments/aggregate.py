@@ -65,7 +65,6 @@ __all__ = [
     "build_views",
     "canonical_json",
     "identity_json",
-    "views_from_env",
 ]
 
 #: Views covered by the bit-for-bit view-identity invariant: pure
@@ -81,28 +80,6 @@ ALL_VIEWS = IDENTITY_VIEWS + ("status",)
 def canonical_json(obj: Any) -> str:
     """The one serialization identity is defined over: sorted, compact."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def views_from_env() -> "tuple[str, ...] | None":
-    """``REPRO_VIEWS`` -> view selection, or None for all.
-
-    A comma-separated subset of :data:`ALL_VIEWS` (unset or ``all``
-    keeps every view).  Unknown names are a hard error — a typo that
-    silently dropped a view would look like an empty run.
-    """
-    import os
-
-    raw = os.environ.get("REPRO_VIEWS", "").strip()
-    if not raw or raw.lower() == "all":
-        return None
-    names = tuple(part.strip() for part in raw.split(",") if part.strip())
-    unknown = sorted(set(names) - set(ALL_VIEWS))
-    if unknown:
-        raise ValueError(
-            f"unknown REPRO_VIEWS entr{'ies' if len(unknown) > 1 else 'y'} "
-            f"{unknown}; expected a comma-separated subset of "
-            f"{list(ALL_VIEWS)}")
-    return names
 
 
 @dataclass(frozen=True)

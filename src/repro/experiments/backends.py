@@ -59,7 +59,8 @@ from repro.experiments.broker import (
     RemotePointError,
 )
 from repro.experiments.plan import ExperimentPoint
-from repro.faults.policy import RetryPolicy, point_deadline
+from repro.faults.policy import DEFAULT_ATTEMPTS, RetryPolicy, point_deadline
+from repro.settings import Settings
 
 Batches = Mapping[str, tuple[ExperimentPoint, ...]]
 
@@ -70,9 +71,9 @@ class BackendUnavailable(QueueError):
     Raised when the environment, not the work, is broken: worker
     processes cannot be spawned, or spawn fine but crash-loop without
     ever producing a result.  The scheduler catches this and walks the
-    degradation ladder (queue → local → serial, ``REPRO_DEGRADE``)
-    instead of abandoning the grid — the points themselves are
-    backend-agnostic, so a healthier backend produces identical results.
+    degradation ladder (queue → local → serial) instead of abandoning
+    the grid — the points themselves are backend-agnostic, so a
+    healthier backend produces identical results.
     """
 
 
@@ -115,21 +116,8 @@ class BackendReport(Protocol):
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set and valid, else CPU count."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return jobs
-
-
-def default_batching() -> bool:
-    """In-worker point batching: on unless ``REPRO_BATCH`` disables it."""
-    return os.environ.get("REPRO_BATCH", "1").strip().lower() not in (
-        "0", "false", "no", "off")
+    """Worker count: ``REPRO_JOBS``, else the CPU count."""
+    return Settings.from_env().jobs
 
 
 def _relayable_exception(exc: Exception) -> Exception:
@@ -179,7 +167,8 @@ def point_meta(info: dict, point_trace, *,
     }
 
 
-def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
+def _maybe_prelower(point: ExperimentPoint, trace,
+                    phase_seconds: dict[str, float]) -> bool:
     """Pay a batch's one-time trace-lowering cost up front, observably.
 
     Returns True only when the compiled kernel applies to this point
@@ -188,8 +177,10 @@ def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
     actually ran now; the caller then reports it as a
     :data:`~repro.pipeline.kernel.LOWER_TICK` progress tick, which the
     scheduler turns into a ``phase="lower"`` event — so the first point
-    of a batch never looks stalled behind the lowering pass.  Any
-    failure here is deferred: the point itself will surface it.
+    of a batch never looks stalled behind the lowering pass.  The
+    lowering time goes into ``phase_seconds["lower"]`` of the point that
+    consumes the trace.  Any failure here is deferred: the point itself
+    will surface it.
     """
     from repro.pipeline.kernel import ensure_lowered, is_lowered
     from repro.workloads.registry import get_program
@@ -201,9 +192,11 @@ def _maybe_prelower(point: ExperimentPoint, trace) -> bool:
                               seed=point.seed)
         if is_lowered(trace, program):
             return False
+        started = time.perf_counter()
         with obs.span("lower", kind="phase", attrs={
                 "phase": "lower", "benchmark": point.benchmark}):
             ensure_lowered(program, trace)
+        phase_seconds["lower"] = time.perf_counter() - started
     except Exception:  # noqa: BLE001 - execute_point reports it per point
         return False
     return True
@@ -251,15 +244,16 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
             entries: list[tuple] = []
             lower_ticked = False
             for index, point in enumerate(points):
-                point_trace = traces.get(point)
+                info: dict = {"phase_seconds": {}}
+                point_trace = traces.get(point, info["phase_seconds"])
                 if (not lower_ticked and ticker is not None
-                        and _maybe_prelower(point, point_trace)):
+                        and _maybe_prelower(point, point_trace,
+                                            info["phase_seconds"])):
                     lower_ticked = True
                     try:
                         ticker.put((batch_id, LOWER_TICK, None))
                     except Exception:  # noqa: BLE001 - a dead manager must
                         ticker = None  # not take the results down with it
-                info: dict = {}
                 started = time.perf_counter()
                 try:
                     with point_deadline():
@@ -393,12 +387,12 @@ class SerialBackend(ExecutionBackend):
                     "benchmark": group[0].benchmark if group else None}):
                 lower_ticked = False
                 for index, point in enumerate(group):
-                    point_trace = traces.get(point)
-                    if not lower_ticked \
-                            and _maybe_prelower(point, point_trace):
+                    info: dict = {"phase_seconds": {}}
+                    point_trace = traces.get(point, info["phase_seconds"])
+                    if not lower_ticked and _maybe_prelower(
+                            point, point_trace, info["phase_seconds"]):
                         lower_ticked = True
                         report.tick(batch_id, LOWER_TICK)
-                    info: dict = {}
                     started = time.perf_counter()
                     try:
                         with point_deadline():
@@ -586,32 +580,24 @@ class QueueBackend(ExecutionBackend):
 
     def __init__(self, *, workers: int | None = None,
                  broker_dir: str | os.PathLike | None = None,
-                 lease_timeout: float | None = None,
-                 max_attempts: int | None = None,
+                 lease_timeout: float = 30.0,
+                 max_attempts: int = DEFAULT_ATTEMPTS,
                  poll: float = 0.02,
                  worker_args: tuple[str, ...] = (),
                  timeout: float | None = None) -> None:
-        env = os.environ.get
-        if workers is None:
-            raw = env("REPRO_QUEUE_WORKERS", "")
-            workers = int(raw) if raw.strip().isdigit() else None
-        self.workers = workers
-        self.broker_dir = broker_dir if broker_dir is not None \
-            else env("REPRO_QUEUE_DIR") or None
-        self.lease_timeout = float(
-            lease_timeout if lease_timeout is not None
-            else env("REPRO_QUEUE_LEASE", "30"))
-        self.max_attempts = max(1, int(
-            max_attempts if max_attempts is not None
-            else env("REPRO_QUEUE_RETRIES", "3")))
+        settings = Settings.from_env()
+        self.workers = settings.queue_workers if workers is None else workers
+        self.broker_dir = settings.queue_dir if broker_dir is None \
+            else broker_dir
+        self.lease_timeout = float(lease_timeout)
+        self.max_attempts = max(1, int(max_attempts))
         self.poll = poll
         self.worker_args = tuple(worker_args)
         self.timeout = timeout
         # Requeue pacing: bounded attempts are self.max_attempts; the
-        # policy adds exponential backoff with deterministic jitter
-        # (REPRO_RETRY_BACKOFF) so a flapping worker pool is not hammered
-        # with instant resubmits.
-        self.retry_policy = RetryPolicy.from_env(max_attempts=self.max_attempts)
+        # policy adds exponential backoff with deterministic jitter so a
+        # flapping worker pool is not hammered with instant resubmits.
+        self.retry_policy = RetryPolicy(max_attempts=self.max_attempts)
         # Per-execute observability (reset each run).
         self.trace_sources: dict[str, str] = {}
         self.kernel_sources: dict[str, str] = {}
@@ -632,9 +618,9 @@ class QueueBackend(ExecutionBackend):
         workload that fails to record (e.g. an unknown benchmark) ships
         nothing — the workers will surface the same failure per point.
         """
-        from repro.experiments.tracing import load_or_record, trace_mode
+        from repro.experiments.tracing import load_or_record
 
-        mode = trace_mode()
+        mode = Settings.from_env().trace
         if mode == "off":
             return {}
         counts = Counter(
@@ -917,19 +903,14 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
 
 def default_backend_name() -> str | None:
     """``REPRO_BACKEND`` -> validated selector, or None for auto."""
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if not raw or raw == "auto":
-        return None
-    if raw not in BACKENDS:
-        raise ValueError(
-            f"unknown REPRO_BACKEND {raw!r}; expected one of "
-            f"{sorted(BACKENDS)} (or 'auto')")
-    return raw
+    return Settings.from_env().backend
 
 
 def resolve_backend(backend: "str | ExecutionBackend | None", *,
-                    jobs: int, pending: int) -> ExecutionBackend:
-    """Pick the backend: explicit instance > explicit/env name > auto.
+                    jobs: int, pending: int,
+                    default: "str | None" = None) -> ExecutionBackend:
+    """Pick the backend: explicit instance > explicit name > ``default``
+    (the resolved ``REPRO_BACKEND``) > auto.
 
     Auto keeps the historical scheduler behaviour: one worker (or a
     single pending point) runs serially in-process, anything else
@@ -937,8 +918,7 @@ def resolve_backend(backend: "str | ExecutionBackend | None", *,
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = backend.strip().lower() if isinstance(backend, str) \
-        else default_backend_name()
+    name = backend.strip().lower() if isinstance(backend, str) else default
     if backend is not None and not isinstance(backend, str):
         raise TypeError(
             f"backend must be a name, an ExecutionBackend instance or "

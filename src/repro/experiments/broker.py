@@ -170,9 +170,8 @@ class FileBroker:
         # counter value this process last wrote.
         self._hb_seen: dict[str, tuple[int | None, float]] = {}
         self._hb_counts: dict[str, int] = {}
-        # Transient-I/O policy for submit/complete/tick (backoff knob
-        # shared with the queue's job-level retries via the env).
-        self._retry = RetryPolicy.from_env(max_attempts=3)
+        # Transient-I/O policy for submit/complete/tick.
+        self._retry = RetryPolicy()
 
     # -- low-level helpers ---------------------------------------------------
 

@@ -28,12 +28,10 @@ from repro.experiments.plan import (
     CONFIGURATIONS,
     ExperimentPoint,
     build_plan,
-    default_scale,
-    default_warmup,
     point_key,
 )
 from repro.experiments.scheduler import ProgressCallback, run_plan
-from repro.experiments.tracing import load_or_record, trace_mode
+from repro.experiments.tracing import load_or_record
 from repro.obs.interval import IntervalSampler
 from repro.pipeline.config import machine_for_depth
 from repro.pipeline.engine import PipelineEngine, build_predictor
@@ -46,13 +44,12 @@ from repro.pipeline.kernel import (
 from repro.pipeline.stats import SimulationResult
 from repro.pipeline.trace import CommittedTrace
 from repro.predictors.twolevel import LevelTwoKind
+from repro.settings import Settings
 from repro.workloads.registry import BENCHMARKS, get_program
 
 __all__ = [
     "CONFIGURATIONS",
     "ExperimentPoint",
-    "default_scale",
-    "default_warmup",
     "execute_point",
     "run_point",
     "run_suite",
@@ -94,7 +91,9 @@ def execute_point(point: ExperimentPoint, *,
     the live engine, counted in ``kernel_fallback_total`` and attributed
     to the point in the run ledger.  ``info``, when given, reports which
     path actually ran: ``info["kernel_source"]`` is ``"kernel"`` or
-    ``"live"`` (mirroring the backends' ``trace_source``).
+    ``"live"`` (mirroring the backends' ``trace_source``), and
+    ``info["phase_seconds"]`` the wall time per phase, next to any
+    record/lower seconds the caller already put there for this point.
     """
     point.validate()
     if trace is not None and not isinstance(trace, CommittedTrace) \
@@ -107,9 +106,8 @@ def execute_point(point: ExperimentPoint, *,
             "execute_point requires a resolved point; call "
             "point.resolve() first or use run_point/run_suite")
     perf = time.perf_counter
-    phase_seconds: dict[str, float] = {}
-    if info is not None:
-        info["phase_seconds"] = phase_seconds
+    phase_seconds: dict[str, float] = {} if info is None \
+        else info.setdefault("phase_seconds", {})
     with obs.span(point.benchmark, kind="point", attrs={
             "benchmark": point.benchmark,
             "configuration": point.configuration,
@@ -137,9 +135,11 @@ def _execute_phases(point: ExperimentPoint,
     config = machine_for_depth(point.pipeline_depth,
                                speculation=point.speculation)
 
+    settings = Settings.from_env()
     if point.speculation == "redirect" and trace is not False:
-        if trace is None and trace_mode() == "disk":
-            trace = load_or_record(point.benchmark, point.scale, point.seed)
+        if trace is None and settings.trace == "disk":
+            trace = load_or_record(point.benchmark, point.scale, point.seed,
+                                   phase_seconds=phase_seconds)
         if trace is not None:
             result = _kernel_replay(point, program, trace, config,
                                     phase_seconds, perf)
@@ -159,7 +159,7 @@ def _execute_phases(point: ExperimentPoint,
         mode = _VALUE_MODES[point.configuration]
 
     telemetry = obs.current()
-    every = obs.interval_cycles() if telemetry is not None else 0
+    every = settings.obs_interval if telemetry is not None else 0
     sampler = IntervalSampler(every) if every else None
 
     start = perf()
@@ -255,7 +255,6 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
               jobs: int | None = None, cache: ResultCache | None = None,
               use_cache: bool = True,
               progress: ProgressCallback | None = None,
-              batch: bool | None = None,
               backend=None,
               manifest=None,
               sink=None,
@@ -269,9 +268,8 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
     ``speculation`` selects the engine's wrong-path model for every point
     of the grid ("redirect" | "wrongpath"); run the suite once per mode to
     sweep it — each mode has its own cache keys, so replays never mix.
-    ``batch=None`` honours ``REPRO_BATCH`` (default on): same-benchmark
-    points are simulated in per-worker batches that share one program
-    build (results are identical either way).  ``backend=None`` honours
+    Same-benchmark points are simulated in per-worker batches that share
+    one program build.  ``backend=None`` honours
     ``REPRO_BACKEND`` (``serial`` | ``local`` | ``queue``; see
     :mod:`repro.experiments.backends`) — results are bit-for-bit equal
     on every backend.  ``manifest=None`` honours ``REPRO_MANIFEST``
@@ -286,6 +284,6 @@ def run_suite(configurations=CONFIGURATIONS, depths=(20,),
                       warmup=warmup, seed=seed, arvi_config=arvi_config,
                       speculation=speculation)
     results = run_plan(plan, jobs=jobs, cache=cache, use_cache=use_cache,
-                       progress=progress, batch=batch, backend=backend,
+                       progress=progress, backend=backend,
                        manifest=manifest, sink=sink)
     return {point.grid_key: result for point, result in results.items()}

@@ -12,16 +12,19 @@ the local pool).  Point keys, cache bytes and progress events are
 identical on every backend, so the result cache and per-point progress
 ticks are backend-agnostic.
 
-**In-worker batching** (``REPRO_BATCH``, default on): pending points are
-grouped by workload identity — ``(benchmark, scale, seed)``, the
-arguments of :func:`~repro.workloads.registry.get_program` — and each
-worker receives a contiguous *batch* of same-benchmark points in one
+**In-worker batching**: pending points are grouped by workload
+identity — ``(benchmark, scale, seed)``, the arguments of
+:func:`~repro.workloads.registry.get_program` — and each worker
+receives a contiguous *batch* of same-benchmark points in one
 submission.  The worker builds (and pre-decodes) the shared ``Program``
 once per batch and amortizes the per-task overhead across the batch.
 Batches never mix benchmarks, point keys and cache contents are exactly
 those of per-point execution, and one failing point inside a batch does
-not discard its siblings' completed results.  ``REPRO_BATCH=0`` (or
-``batch=False``) restores one-point-per-task submission.
+not discard its siblings' completed results.
+
+**Settings**: each ``run_plan`` call resolves every ``REPRO_*`` knob
+once (:class:`repro.settings.Settings`) and records them as a
+``settings`` event in the run ledger when telemetry is on.
 
 **Trace sharing** (``REPRO_TRACE``, default on; DESIGN.md §8): within a
 batch — and across a serial sweep — the ``redirect`` points of one
@@ -54,7 +57,6 @@ drained — completed siblings always reach the cache first.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -65,7 +67,6 @@ from repro.experiments.backends import (
     ExecutionBackend,
     _compute_batch,
     _make_batches,
-    default_batching,
     default_jobs,
     degrade_target,
     resolve_backend,
@@ -78,17 +79,13 @@ from repro.experiments.plan import (
     point_key,
 )
 from repro.faults.manifest import resolve_manifest
-from repro.faults.policy import (
-    DeadletterStore,
-    deadletter_enabled,
-    degrade_enabled,
-)
+from repro.faults.policy import DeadletterStore
 from repro.pipeline.stats import SimulationResult
+from repro.settings import Settings
 
 __all__ = [
     "ProgressCallback",
     "ProgressEvent",
-    "default_batching",
     "default_jobs",
     "run_plan",
     "run_points",
@@ -182,20 +179,18 @@ class _PlanReport:
 def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
              cache: ResultCache | None = None, use_cache: bool = True,
              progress: ProgressCallback | None = None,
-             batch: bool | None = None,
              backend: "str | ExecutionBackend | None" = None,
              manifest=None,
              sink=None,
              ) -> dict[ExperimentPoint, SimulationResult]:
     """Execute a plan; returns {resolved point -> result}.
 
-    ``cache=None`` with ``use_cache=True`` uses the default store (honours
-    ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``); pass ``use_cache=False`` to
-    force recomputation without touching any store.  ``batch=None``
-    honours ``REPRO_BATCH`` (default on): same-benchmark points travel to
-    workers in batches; ``batch=False`` submits one point per task.
-    ``backend=None`` honours ``REPRO_BACKEND`` (``serial`` | ``local`` |
-    ``queue``; unset = serial for one worker, local pool otherwise); it
+    ``jobs=None`` honours ``REPRO_JOBS``.  ``cache=None`` with
+    ``use_cache=True`` uses the default store (honours ``REPRO_CACHE`` /
+    ``REPRO_CACHE_DIR``); pass ``use_cache=False`` to force
+    recomputation without touching any store.  ``backend=None``
+    honours ``REPRO_BACKEND`` (``serial`` | ``local`` | ``queue``;
+    unset = serial for one worker, local pool otherwise); it
     also accepts a configured :class:`~repro.experiments.backends.
     ExecutionBackend` instance.  ``manifest=None`` honours
     ``REPRO_MANIFEST`` (default off); a directory path or ``True``
@@ -216,30 +211,26 @@ def run_plan(plan: ExperimentPlan, *, jobs: int | None = None,
     HTTP/SSE view server (:mod:`repro.serve`) attached for its
     duration.
     """
+    settings = Settings.from_env()
     telemetry = None
-    if obs.enabled() and obs.current() is None:
+    if settings.obs and obs.current() is None:
         # Outermost run_plan of the process owns the telemetry run; a
         # nested call (or one under a caller-managed run) just joins it.
-        telemetry = obs.start_run(label="plan")
+        telemetry = obs.start_run(label="plan", root=settings.obs_dir)
     try:
         with obs.span("plan", kind="plan", attrs={"points": len(plan)}):
-            with _resolve_sink(sink) as live_sink:
-                return _run_plan(plan, jobs=jobs, cache=cache,
+            obs.emit("settings", kind="run", attrs=settings.to_dict())
+            with _resolve_sink(sink, settings) as live_sink:
+                return _run_plan(plan, settings, jobs=jobs, cache=cache,
                                  use_cache=use_cache, progress=progress,
-                                 batch=batch, backend=backend,
-                                 manifest=manifest, sink=live_sink)
+                                 backend=backend, manifest=manifest,
+                                 sink=live_sink)
     finally:
         if telemetry is not None:
             obs.close_run(telemetry)
 
 
-def serve_requested() -> bool:
-    """``REPRO_SERVE`` truthiness (default off)."""
-    return os.environ.get("REPRO_SERVE", "0").strip().lower() not in (
-        "", "0", "false", "no", "off")
-
-
-def _resolve_sink(sink):
+def _resolve_sink(sink, settings: Settings):
     """The live-view sink context for one run_plan call.
 
     An explicit sink is used as-is (its owner manages any server and
@@ -250,21 +241,20 @@ def _resolve_sink(sink):
     lazily so the scheduler never pays for (or circularly imports) the
     serving tier unless it is actually on.
     """
-    if sink is not None or not serve_requested():
+    if sink is not None or not settings.serve:
         return contextlib.nullcontext(sink)
     from repro import serve
 
-    return serve.autoserve()
+    return serve.autoserve(port=settings.serve_port)
 
 
-def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
-              batch, backend, manifest, sink=None,
+def _run_plan(plan: ExperimentPlan, settings: Settings, *, jobs, cache,
+              use_cache, progress, backend, manifest, sink=None,
               ) -> dict[ExperimentPoint, SimulationResult]:
     started = time.perf_counter()
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    batch = default_batching() if batch is None else bool(batch)
+    jobs = settings.jobs if jobs is None else max(1, int(jobs))
     if use_cache and cache is None:
-        cache = default_cache()
+        cache = default_cache(settings)
     elif not use_cache:
         cache = None
 
@@ -316,7 +306,8 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
             sink.on_result(point, keys[point], result,
                            source=source, meta=meta)
 
-    store = resolve_manifest(manifest, [keys[point] for point in plan])
+    store = resolve_manifest(manifest, [keys[point] for point in plan],
+                             settings)
     if sink is not None:
         sink.on_plan(plan, keys)
     try:
@@ -353,11 +344,10 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
         while pending:
             if engine is None:
                 engine = resolve_backend(backend, jobs=jobs,
-                                         pending=len(pending))
-            batches = (_make_batches(pending, jobs) if batch
-                       else [(point,) for point in pending])
-            groups = {f"batch-{index}": group
-                      for index, group in enumerate(batches)}
+                                         pending=len(pending),
+                                         default=settings.backend)
+            groups = {f"batch-{index}": group for index, group
+                      in enumerate(_make_batches(pending, jobs))}
             report = _PlanReport(groups, engine.source, emit, deliver,
                                  wants_ticks=(progress is not None
                                               or sink is not None
@@ -366,8 +356,7 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
                 engine.execute(groups, report, jobs=jobs)
                 break
             except BackendUnavailable as exc:
-                fallback = degrade_target(engine) if degrade_enabled() \
-                    else None
+                fallback = degrade_target(engine)
                 if fallback is None:
                     raise
                 obs.inc("backend.degrade")
@@ -393,7 +382,8 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
                         keys.get(failed_point) if failed_point is not None
                         else None,
                         error)
-            quarantined = _quarantine(report.failures, keys)
+            quarantined = _quarantine(report.failures, keys,
+                                      settings.deadletter_dir)
             if quarantined is not None:
                 report.failure.add_note(
                     f"{len(report.failures)} failed point(s) quarantined "
@@ -408,16 +398,16 @@ def _run_plan(plan: ExperimentPlan, *, jobs, cache, use_cache, progress,
     return {point: results[point] for point in plan}
 
 
-def _quarantine(failures, keys) -> "str | None":
+def _quarantine(failures, keys, directory) -> "str | None":
     """Write failed points to the deadletter store; returns its dir.
 
     Best-effort by design: quarantine is diagnostics, so an unwritable
     deadletter directory must never mask the original failure (the
     caller is about to raise it).
     """
-    if not deadletter_enabled() or not failures:
+    if not failures:
         return None
-    store = DeadletterStore()
+    store = DeadletterStore(directory)
     try:
         for point, error in failures:
             store.add({
@@ -447,12 +437,11 @@ def _finish(point: ExperimentPoint, payload: dict,
 def run_points(points, *, jobs: int | None = None,
                cache: ResultCache | None = None, use_cache: bool = True,
                progress: ProgressCallback | None = None,
-               batch: bool | None = None,
                backend: "str | ExecutionBackend | None" = None,
                manifest=None,
                sink=None,
                ) -> dict[ExperimentPoint, SimulationResult]:
     """Convenience wrapper: plan from explicit points, then run."""
     return run_plan(plan_from_points(points), jobs=jobs, cache=cache,
-                    use_cache=use_cache, progress=progress, batch=batch,
+                    use_cache=use_cache, progress=progress,
                     backend=backend, manifest=manifest, sink=sink)

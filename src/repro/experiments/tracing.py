@@ -4,11 +4,11 @@ The mechanics of recording and replaying a committed instruction stream
 live in :mod:`repro.pipeline.trace`; this module decides *when* the
 experiment service uses them and where recorded traces persist:
 
-* :func:`trace_mode` — the ``REPRO_TRACE`` knob, the one switch between
-  the two execution paths: ``"memory"`` (default) shares one in-memory
-  recording across the redirect points of a worker batch or serial
-  sweep, each replayed through the compiled kernel
-  (:mod:`repro.pipeline.kernel`); ``"disk"`` additionally persists
+* ``REPRO_TRACE`` (:attr:`repro.settings.Settings.trace`) — the one
+  switch between the two execution paths: ``"memory"`` (default)
+  shares one in-memory recording across the redirect points of a
+  worker batch or serial sweep, each replayed through the compiled
+  kernel (:mod:`repro.pipeline.kernel`); ``"disk"`` additionally persists
   traces so *cold single points* (and later processes) skip
   re-interpretation; ``"0"`` runs every point on the live engine.
 * :class:`TraceStore` — content-addressed ``*.trace`` files next to the
@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import pathlib
+import time
 from collections import Counter
 
 from repro import obs
@@ -43,6 +44,7 @@ from repro.faults import fsio
 from repro.experiments.plan import ExperimentPoint, code_fingerprint
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
 from repro.pipeline.trace import CommittedTrace, TraceError, TraceRecorder
+from repro.settings import Settings
 from repro.workloads.registry import get_program
 
 #: Versions the trace *key* payload (the file layout is versioned
@@ -50,28 +52,12 @@ from repro.workloads.registry import get_program
 TRACE_KEY_SCHEMA_VERSION = 1
 
 
-#: Accepted ``REPRO_TRACE`` spellings, by mode ("" is the default).
-_TRACE_MODES = {
-    "off": ("0", "false", "no", "off"),
-    "memory": ("", "1", "true", "yes", "on", "memory"),
-    "disk": ("disk",),
-}
-
-
 def trace_mode() -> str:
     """``REPRO_TRACE`` -> "off" | "memory" | "disk" (default "memory").
 
-    Any other value is a typo that would silently pick a path, so it
-    raises ``ValueError`` naming the accepted values.
+    Kept only because the benchmark harness records it.
     """
-    raw = os.environ.get("REPRO_TRACE", "").strip().lower()
-    for mode, spellings in _TRACE_MODES.items():
-        if raw in spellings:
-            return mode
-    accepted = sorted(v for spellings in _TRACE_MODES.values()
-                      for v in spellings if v)
-    raise ValueError(
-        f"unknown REPRO_TRACE {raw!r}; expected one of {accepted}")
+    return Settings.from_env().trace
 
 
 def kernel_mode() -> bool:
@@ -89,16 +75,6 @@ def spec_mode() -> bool:
     Kept only because the benchmark harness records it.
     """
     return False
-
-
-def default_trace_dir() -> pathlib.Path:
-    override = os.environ.get("REPRO_TRACE_DIR")
-    if override:
-        return pathlib.Path(override)
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "traces"
 
 
 def trace_key(benchmark: str, scale: float, seed: int,
@@ -127,7 +103,7 @@ class TraceStore:
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = pathlib.Path(directory) if directory is not None \
-            else default_trace_dir()
+            else Settings.from_env().trace_dir
         self.hits = 0
         self.misses = 0
 
@@ -192,15 +168,18 @@ def default_trace_store() -> TraceStore:
 
 def load_or_record(benchmark: str, scale: float, seed: int,
                    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                   store: TraceStore | None = None) -> CommittedTrace:
+                   store: TraceStore | None = None,
+                   phase_seconds: dict[str, float] | None = None,
+                   ) -> CommittedTrace:
     """Produce a workload's committed trace, via the disk store if on.
 
     A stored trace that fails validation against the freshly built
     program (a key collision or hand-copied file) is re-recorded and
     overwritten, mirroring the result cache's corrupt-entry policy.
+    A recording run adds its wall time to ``phase_seconds["record"]``.
     """
     program = get_program(benchmark, scale=scale, seed=seed)
-    if store is None and trace_mode() == "disk":
+    if store is None and Settings.from_env().trace == "disk":
         store = default_trace_store()
     key = None
     if store is not None:
@@ -212,9 +191,12 @@ def load_or_record(benchmark: str, scale: float, seed: int,
                 return trace
             except TraceError:
                 pass  # stale under this key: re-record below
+    started = time.perf_counter()
     with obs.span("record", kind="phase", attrs={
             "phase": "record", "benchmark": benchmark}):
         trace = TraceRecorder(program).record(max_instructions)
+    if phase_seconds is not None:
+        phase_seconds["record"] = time.perf_counter() - started
     if store is not None:
         store.put(key, trace)
     return trace
@@ -235,13 +217,17 @@ class SharedTraces:
     """
 
     def __init__(self, points) -> None:
-        self._mode = trace_mode()
+        self._mode = Settings.from_env().trace
         self._remaining = Counter(
             _workload_key(point) for point in points
             if point.speculation == "redirect")
         self._traces: dict[tuple, CommittedTrace] = {}
 
-    def get(self, point: ExperimentPoint) -> CommittedTrace | None:
+    def get(self, point: ExperimentPoint,
+            phase_seconds: dict[str, float] | None = None,
+            ) -> CommittedTrace | None:
+        """The trace for ``point``; a recording it triggers is timed into
+        ``phase_seconds["record"]`` (the consuming point's phases)."""
         if self._mode == "off" or point.speculation != "redirect":
             return None
         key = _workload_key(point)
@@ -256,7 +242,8 @@ class SharedTraces:
             # Recording costs a functional run; with nothing to amortize
             # against (and no store to persist into), live wins.
             return None
-        trace = load_or_record(point.benchmark, point.scale, point.seed)
+        trace = load_or_record(point.benchmark, point.scale, point.seed,
+                               phase_seconds=phase_seconds)
         if remaining > 1:
             self._traces[key] = trace
         return trace

@@ -13,16 +13,16 @@ Four small modules (DESIGN.md §12):
 * :mod:`repro.faults.policy` — the unified resilience policy layer:
   :class:`~repro.faults.policy.RetryPolicy` (bounded attempts,
   exponential backoff, deterministic jitter), per-point deadlines
-  (``REPRO_POINT_TIMEOUT``), the degradation knob (``REPRO_DEGRADE``)
-  and the poison-job :class:`~repro.faults.policy.DeadletterStore`.
+  (``REPRO_POINT_TIMEOUT``) and the poison-job
+  :class:`~repro.faults.policy.DeadletterStore`.
 * :mod:`repro.faults.manifest` — crash-safe run manifests
   (``REPRO_MANIFEST``): a killed grid restarted with the same plan
   skips completed points and converges to bit-identical results.
 
 Like the rest of the harness, nothing here can change a simulation
 outcome: the package is excluded from the result-cache code
-fingerprint, and with ``REPRO_FAULTS`` unset the injector is a single
-memoized environment lookup.
+fingerprint, and with ``REPRO_FAULTS`` unset the injector is one
+settings lookup.
 """
 
 from repro.faults.injector import FaultInjector, InjectedIOError, active

@@ -34,6 +34,7 @@ import threading
 import time
 
 from repro import obs
+from repro.settings import Settings
 
 ENV_SPEC = "REPRO_FAULTS"
 
@@ -234,7 +235,7 @@ class FaultInjector:
 
 # Memoized on (spec, pid): forked pool workers must not inherit the
 # parent's RNG positions, and repeated seam calls with REPRO_FAULTS
-# unset must cost one dict probe.
+# unset must not rebuild anything.
 _ACTIVE: tuple[str | None, int, FaultInjector | None] = ("", -1, None)
 _OVERRIDE: list[FaultInjector | None] = []
 
@@ -244,7 +245,7 @@ def active() -> FaultInjector | None:
     if _OVERRIDE:
         return _OVERRIDE[-1]
     global _ACTIVE
-    spec = os.environ.get(ENV_SPEC)
+    spec = Settings.from_env().faults
     pid = os.getpid()
     cached_spec, cached_pid, injector = _ACTIVE
     if spec == cached_spec and pid == cached_pid:

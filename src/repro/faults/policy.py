@@ -12,10 +12,7 @@ Alongside it:
 * poison-job quarantine — points that fail all attempts are written to
   a ``deadletter/`` directory with their full attempt history
   (:class:`DeadletterStore`, surfaced via ``python -m repro.obs
-  deadletter``);
-* the degradation knob — ``REPRO_DEGRADE`` (default on) lets the
-  scheduler walk the queue → local → serial ladder when a backend
-  reports itself unavailable.
+  deadletter``).
 """
 
 from __future__ import annotations
@@ -34,8 +31,7 @@ import time
 from typing import Callable, Iterator
 
 from repro import obs
-
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
+from repro.settings import Settings
 
 DEFAULT_BACKOFF = 0.05
 DEFAULT_ATTEMPTS = 3
@@ -77,22 +73,6 @@ class RetryPolicy:
     factor: float = 2.0
     cap: float = 2.0
 
-    @classmethod
-    def from_env(cls, *, max_attempts: int | None = None) -> "RetryPolicy":
-        """Policy from ``REPRO_RETRY_BACKOFF`` (+ optional attempt cap)."""
-        if max_attempts is None:
-            try:
-                max_attempts = int(os.environ.get("REPRO_QUEUE_RETRIES",
-                                                  DEFAULT_ATTEMPTS))
-            except ValueError:
-                max_attempts = DEFAULT_ATTEMPTS
-        try:
-            backoff = float(os.environ.get("REPRO_RETRY_BACKOFF",
-                                           DEFAULT_BACKOFF))
-        except ValueError:
-            backoff = DEFAULT_BACKOFF
-        return cls(max_attempts=max(1, max_attempts), backoff=max(0.0, backoff))
-
     def delay(self, attempt: int, key: str = "") -> float:
         if attempt <= 1 or self.backoff <= 0.0:
             return 0.0
@@ -127,18 +107,6 @@ class RetryPolicy:
 # -- per-point deadlines ------------------------------------------------------
 
 
-def point_timeout() -> float:
-    """``REPRO_POINT_TIMEOUT`` -> per-point deadline in seconds (0=off)."""
-    raw = os.environ.get("REPRO_POINT_TIMEOUT", "").strip()
-    if raw.lower() in _TRUTHY_OFF:
-        return 0.0
-    try:
-        value = float(raw)
-    except ValueError:
-        return 0.0
-    return value if value > 0.0 else 0.0
-
-
 def _in_interpreter_callback(frame) -> bool:
     """Whether ``frame`` runs inside a gc callback or the unraisable hook.
 
@@ -165,9 +133,10 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
     compute.  Only arms on the main thread (signals cannot be delivered
     elsewhere); pool/queue workers execute points on their main thread,
     which is where a runaway simulation would actually hang.
+    ``seconds=None`` reads ``REPRO_POINT_TIMEOUT`` (0 = no deadline).
     """
     if seconds is None:
-        seconds = point_timeout()
+        seconds = Settings.from_env().point_timeout
     if seconds <= 0.0 or threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -196,37 +165,7 @@ def point_deadline(seconds: float | None = None) -> Iterator[None]:
                 continue
 
 
-# -- degradation --------------------------------------------------------------
-
-
-def degrade_enabled() -> bool:
-    """``REPRO_DEGRADE`` -> queue→local→serial fallback on (default on)."""
-    raw = os.environ.get("REPRO_DEGRADE")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _TRUTHY_OFF
-
-
 # -- deadletter quarantine ----------------------------------------------------
-
-
-def deadletter_enabled() -> bool:
-    """``REPRO_DEADLETTER`` -> quarantine failed points (default on)."""
-    raw = os.environ.get("REPRO_DEADLETTER")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _TRUTHY_OFF
-
-
-def default_deadletter_dir() -> pathlib.Path:
-    """Where quarantined points land (``REPRO_DEADLETTER_DIR`` overrides)."""
-    override = os.environ.get("REPRO_DEADLETTER_DIR")
-    if override:
-        return pathlib.Path(override)
-    root = pathlib.Path(__file__).resolve().parents[3]
-    if not (root / "pyproject.toml").is_file():
-        root = pathlib.Path.cwd()
-    return root / "benchmarks" / "results" / "deadletter"
 
 
 class DeadletterStore:
@@ -240,7 +179,7 @@ class DeadletterStore:
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = pathlib.Path(directory) if directory is not None \
-            else default_deadletter_dir()
+            else Settings.from_env().deadletter_dir
         self._seq = 0
 
     def add(self, entry: dict) -> pathlib.Path:

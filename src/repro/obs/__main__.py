@@ -1,6 +1,7 @@
 """Run-ledger CLI: ``python -m repro.obs [summary|tail|validate] [path]``.
 
-* ``summary`` (default) — render a finished run: the reconstructed
+* ``summary`` (default) — render a finished run: the settings each plan
+  resolved (:class:`repro.settings.Settings`), the reconstructed
   run → plan → batch → point → phase span tree (crashed/unclosed spans
   flagged), per-phase timing breakdown, queue lifecycle events
   (lease expiries, requeues, respawns) and the metrics snapshot.
@@ -29,7 +30,6 @@ import pathlib
 import sys
 import time
 
-from repro.obs import obs_root
 from repro.obs.ledger import (
     SpanNode,
     SpanTree,
@@ -39,11 +39,13 @@ from repro.obs.ledger import (
     sort_key,
     validate_event,
 )
+from repro.settings import Settings
 
 
 def _resolve_run(path: str | None) -> pathlib.Path:
     """Turn the CLI path argument into a run directory or ledger file."""
-    candidate = pathlib.Path(path) if path else obs_root()
+    candidate = pathlib.Path(path) if path \
+        else Settings.from_env().obs_dir
     if candidate.is_file():
         return candidate
     if candidate.is_dir():
@@ -135,6 +137,12 @@ def summary(run: pathlib.Path, echo=print) -> int:
     echo(f"run: {events[0].get('run')}  ({len(events)} events, "
          f"{len(tree.nodes)} spans)")
     echo("")
+    for event in events:
+        if event.get("event") == "event" and event.get("name") == "settings":
+            echo("settings:")
+            for name, value in (event.get("attrs") or {}).items():
+                echo(f"  {name} = {value}")
+            echo("")
     for node, depth in tree.walk():
         echo("  " * depth + "- " + _format_span(node))
         for event in node.events:
@@ -256,9 +264,10 @@ def validate(run: pathlib.Path, echo=print) -> int:
 
 def deadletter(path: str | None, echo=print) -> int:
     """List quarantined points with their attempt histories."""
-    from repro.faults.policy import DeadletterStore, default_deadletter_dir
+    from repro.faults.policy import DeadletterStore
 
-    directory = pathlib.Path(path) if path else default_deadletter_dir()
+    directory = pathlib.Path(path) if path \
+        else Settings.from_env().deadletter_dir
     store = DeadletterStore(directory)
     entries = store.entries()
     if not entries:

@@ -34,6 +34,8 @@ import pathlib
 import tempfile
 from dataclasses import dataclass, field
 
+from repro.settings import Settings
+
 #: Versions the per-line event schema; bump when fields change meaning.
 EVENT_SCHEMA_VERSION = 1
 
@@ -48,14 +50,6 @@ KNOWN_KINDS = (
     "queue", "lease", "worker", "interval", "metrics", "error",
     "fault", "backend", "view",
 )
-
-
-def _fsync_enabled() -> bool:
-    """Mirrors :func:`repro.faults.fsio.fsync_enabled` (same knob)."""
-    raw = os.environ.get("REPRO_FSYNC")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 class LedgerError(RuntimeError):
@@ -160,7 +154,7 @@ def merge_streams(paths, out_path: str | os.PathLike) -> int:
             # cannot surface an empty-but-renamed ledger.  Local helper,
             # not repro.faults.fsio: obs must stay import-cycle-free
             # (faults.injector logs through obs).
-            if _fsync_enabled():
+            if Settings.from_env().fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(tmp, out_path)

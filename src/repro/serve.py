@@ -29,8 +29,7 @@ Wiring options:
 * ``REPRO_SERVE=1`` — every ``run_plan`` serves itself for the
   duration of the plan (:func:`autoserve`, port ``REPRO_SERVE_PORT``);
 * ``run_plan(..., sink=aggregator)`` with a caller-owned
-  :class:`ViewServer` — how this CLI does it;
-* ``REPRO_VIEWS`` — comma-separated view subset (default: all).
+  :class:`ViewServer` — how this CLI does it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import argparse
 import asyncio
 import contextlib
 import json
-import os
 import pathlib
 import threading
 import time
@@ -49,27 +47,14 @@ from repro.experiments.aggregate import (
     ALL_VIEWS,
     ViewAggregator,
     canonical_json,
-    views_from_env,
 )
+from repro.settings import DEFAULT_SERVE_PORT as DEFAULT_PORT
+from repro.settings import Settings
 
-__all__ = ["DEFAULT_PORT", "ViewServer", "autoserve", "main",
-           "serve_port"]
-
-DEFAULT_PORT = 8765
+__all__ = ["DEFAULT_PORT", "ViewServer", "autoserve", "main"]
 
 #: Queue sentinel: the server is shutting down, close the SSE stream.
 _SHUTDOWN = object()
-
-
-def serve_port() -> int:
-    """``REPRO_SERVE_PORT`` (0 = ephemeral), default :data:`DEFAULT_PORT`."""
-    raw = os.environ.get("REPRO_SERVE_PORT", "").strip()
-    try:
-        return int(raw) if raw else DEFAULT_PORT
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_PORT must be an integer port (0 for "
-            f"ephemeral); got {raw!r}") from None
 
 
 class ViewServer:
@@ -89,7 +74,8 @@ class ViewServer:
                  port: "int | None" = None) -> None:
         self.aggregator = aggregator
         self.host = host
-        self.port = serve_port() if port is None else int(port)
+        self.port = Settings.from_env().serve_port if port is None \
+            else int(port)
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._thread: "threading.Thread | None" = None
         self._clients: "set[asyncio.Queue]" = set()  # loop thread only
@@ -292,17 +278,17 @@ class ViewServer:
 
 
 @contextlib.contextmanager
-def autoserve():
+def autoserve(port: "int | None" = None):
     """The ``REPRO_SERVE=1`` wiring for one ``run_plan`` call.
 
-    Builds an aggregator (``REPRO_VIEWS`` selection), serves it on
-    ``REPRO_SERVE_PORT`` for the duration of the plan, and yields the
-    aggregator as the scheduler's sink.  On exit the final snapshot is
-    marked done and the server stops — use ``python -m repro.serve``
-    when the views should outlive the grid.
+    Builds an aggregator over every view, serves it on ``port``
+    (default ``REPRO_SERVE_PORT``) for the duration of the plan, and
+    yields the aggregator as the scheduler's sink.  On exit the final
+    snapshot is marked done and the server stops — use ``python -m
+    repro.serve`` when the views should outlive the grid.
     """
-    aggregator = ViewAggregator(views=views_from_env())
-    server = ViewServer(aggregator)
+    aggregator = ViewAggregator()
+    server = ViewServer(aggregator, port=port)
     server.start()
     obs.emit("serve", kind="view", attrs={"url": server.url})
     try:
@@ -356,7 +342,7 @@ def main(argv: "list[str] | None" = None) -> int:
     depths = tuple(int(part) for part in args.depths.split(",")
                    if part.strip())
 
-    aggregator = ViewAggregator(views=views_from_env())
+    aggregator = ViewAggregator()
     server = ViewServer(aggregator, host=args.host, port=args.port)
     server.start()
     print(f"serving views on {server.url} "

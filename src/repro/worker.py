@@ -165,14 +165,16 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
                     # The lease is no longer ours (expired + requeued);
                     # finishing and completing is still correct — the
                     # scheduler dedupes duplicate results.
+                info: dict = {"phase_seconds": {}}
                 if trace is not None:
                     point_trace = trace \
                         if point.speculation == "redirect" else None
                 else:
-                    point_trace = shared.get(point)
+                    point_trace = shared.get(point, info["phase_seconds"])
                     if point_trace is not None:
                         trace_source = "local"
-                if not lower_ticked and _maybe_prelower(point, point_trace):
+                if not lower_ticked and _maybe_prelower(
+                        point, point_trace, info["phase_seconds"]):
                     # Shipped traces are lowered locally, once per job;
                     # the pseudo-tick shows up scheduler-side as a
                     # "lower" phase (and renews the lease like any other
@@ -183,7 +185,6 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
                     delay = injector.slow_delay("worker.point")
                     if delay > 0.0:
                         time.sleep(delay)
-                info: dict = {}
                 started = time.perf_counter()
                 try:
                     with point_deadline():

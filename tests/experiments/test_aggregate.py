@@ -34,14 +34,14 @@ from repro.experiments.aggregate import (
     build_views,
     canonical_json,
     identity_json,
-    views_from_env,
 )
 from repro.experiments.backends import QueueBackend
 from repro.experiments.broker import QueueError
 from repro.experiments.plan import build_plan, point_key
-from repro.experiments.scheduler import run_plan, serve_requested
+from repro.experiments.scheduler import run_plan
 from repro.faults.manifest import plan_hash
 from repro.faults.policy import PointTimeout, RetriesExhausted
+from repro.settings import Settings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -85,17 +85,6 @@ def live_aggregate(**run_kw):
 
 
 class TestViewSelection:
-    def test_views_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VIEWS", raising=False)
-        assert views_from_env() is None
-        monkeypatch.setenv("REPRO_VIEWS", "all")
-        assert views_from_env() is None
-        monkeypatch.setenv("REPRO_VIEWS", "figure5, status")
-        assert views_from_env() == ("figure5", "status")
-        monkeypatch.setenv("REPRO_VIEWS", "figure5,typo")
-        with pytest.raises(ValueError, match="typo"):
-            views_from_env()
-
     def test_unknown_view_rejected(self):
         with pytest.raises(ValueError, match="nope"):
             ViewAggregator(views=("figure5", "nope"))
@@ -113,12 +102,12 @@ class TestViewSelection:
 
     def test_serve_requested_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE", raising=False)
-        assert serve_requested() is False
+        assert Settings.from_env().serve is False
         for off in ("0", "false", "off", "no", ""):
             monkeypatch.setenv("REPRO_SERVE", off)
-            assert serve_requested() is False
+            assert Settings.from_env().serve is False
         monkeypatch.setenv("REPRO_SERVE", "1")
-        assert serve_requested() is True
+        assert Settings.from_env().serve is True
 
 
 # -- aggregator semantics -----------------------------------------------------
@@ -271,14 +260,22 @@ class TestLiveEqualsPosthoc:
         aggregator, results = live_aggregate(jobs=1, backend="serial")
         self.check(aggregator, results, serial_results)
 
-    def test_serial_unbatched(self, serial_results):
-        aggregator, results = live_aggregate(jobs=1, backend="serial",
-                                             batch=False)
-        self.check(aggregator, results, serial_results)
-
     def test_local_pool(self, serial_results):
         aggregator, results = live_aggregate(jobs=2, backend="local")
         self.check(aggregator, results, serial_results)
+
+    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("local", 2)])
+    def test_record_and_lower_reach_phase_seconds(self, serial_results,
+                                                  backend, jobs):
+        """Recording (SharedTraces) and lowering (the batch's pre-lower)
+        run outside execute_point; the point that consumes the fresh
+        trace carries their seconds, so the status view sees them."""
+        aggregator, results = live_aggregate(jobs=jobs, backend=backend)
+        self.check(aggregator, results, serial_results)
+        phases = aggregator.snapshot().views["status"]["phase_seconds"]
+        assert phases["record"] > 0
+        assert phases["lower"] > 0
+        assert phases["replay"] > 0
 
     def test_queue(self, serial_results):
         aggregator, results = live_aggregate(jobs=2,

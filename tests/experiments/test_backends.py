@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.backends import (
+    BackendUnavailable,
     QueueBackend,
     SerialBackend,
     _tail_worker_logs,
@@ -412,18 +413,35 @@ class TestQueueBackendEndToEnd:
             run_plan(small_plan(), jobs=2, use_cache=False,
                      backend=backend)
 
-    def test_crash_looping_workers_fail_loudly(self, monkeypatch):
+    def test_crash_looping_workers_fail_loudly(self):
         """Workers that die before ever producing a result (here: an
         unknown CLI flag) must raise a diagnostic QueueError instead of
-        respawning forever.  Degradation is disabled so the typed error
-        surfaces instead of the grid falling back to the local pool (the
-        fallback path has its own test in test_faults.py)."""
-        monkeypatch.setenv("REPRO_DEGRADE", "0")
+        respawning forever.  The backend is driven directly: under
+        run_plan the grid degrades to the local pool (that path has its
+        own test in test_faults.py)."""
+        class Report:
+            wants_ticks = False
+
+            def __init__(self):
+                self.delivered = []
+
+            def tick(self, batch_id, index, duration=None):
+                pass
+
+            def deliver(self, batch_id, index, payload, meta=None):
+                self.delivered.append(index)
+
+            def fail(self, batch_id, index, error):
+                raise AssertionError(f"unexpected point failure: {error}")
+
         backend = queue_backend(workers=1, timeout=120.0,
                                 worker_args=("--definitely-not-a-flag",))
-        with pytest.raises(QueueError, match="crash-looping"):
-            run_plan(small_plan(), jobs=2, use_cache=False,
-                     backend=backend)
+        report = Report()
+        with pytest.raises(QueueError, match="crash-looping") as excinfo:
+            backend.execute({"batch-0": tuple(small_plan())}, report, jobs=2)
+        assert isinstance(excinfo.value, BackendUnavailable)
+        assert "diagnostics" in str(excinfo.value)
+        assert report.delivered == []
 
     def test_per_point_failure_is_final_and_isolated(self, tmp_path):
         """A deterministic worker-side point failure (unknown benchmark)

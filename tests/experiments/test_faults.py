@@ -67,8 +67,8 @@ from repro.faults.policy import (
     RetriesExhausted,
     RetryPolicy,
     point_deadline,
-    point_timeout,
 )
+from repro.settings import Settings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -242,12 +242,14 @@ class TestActiveAndOverride:
 class TestFsyncKnob:
     def test_default_on_and_off_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_FSYNC", raising=False)
-        assert fsio.fsync_enabled()
-        for off in ("0", "false", "no", "off", ""):
+        assert Settings.from_env().fsync
+        monkeypatch.setenv("REPRO_FSYNC", "")      # empty means unset
+        assert Settings.from_env().fsync
+        for off in ("0", "false", "no", "off"):
             monkeypatch.setenv("REPRO_FSYNC", off)
-            assert not fsio.fsync_enabled()
+            assert not Settings.from_env().fsync
         monkeypatch.setenv("REPRO_FSYNC", "1")
-        assert fsio.fsync_enabled()
+        assert Settings.from_env().fsync
 
     def test_atomic_write_replaces_durably(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FSYNC", "1")        # the fsync path itself
@@ -374,12 +376,6 @@ class TestRetryPolicy:
                         retry_on=(RuntimeError,))
         assert len(attempts) == 1                     # deadline is final
 
-    def test_from_env_reads_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-        assert RetryPolicy.from_env(max_attempts=4).backoff == 0.25
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "bogus")
-        assert RetryPolicy.from_env().backoff == 0.05
-
 
 # -- per-point deadlines ------------------------------------------------------
 
@@ -387,12 +383,16 @@ class TestRetryPolicy:
 class TestPointDeadline:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
-        assert point_timeout() == 0.0
-        for off in ("0", "off", "garbage", "-3"):
+        assert Settings.from_env().point_timeout == 0.0
+        for off in ("0", "off"):
             monkeypatch.setenv("REPRO_POINT_TIMEOUT", off)
-            assert point_timeout() == 0.0
+            assert Settings.from_env().point_timeout == 0.0
+        for bad in ("garbage", "-3", "5s"):
+            monkeypatch.setenv("REPRO_POINT_TIMEOUT", bad)
+            with pytest.raises(ValueError, match="REPRO_POINT_TIMEOUT"):
+                Settings.from_env()
         monkeypatch.setenv("REPRO_POINT_TIMEOUT", "2.5")
-        assert point_timeout() == 2.5
+        assert Settings.from_env().point_timeout == 2.5
 
     def test_deadline_interrupts_and_disarms(self):
         started = time.monotonic()
@@ -642,15 +642,6 @@ class TestDeadletterQuarantine:
             assert any("corrupt result" in line
                        for line in entry["history"])
 
-    def test_quarantine_can_be_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "dl"))
-        monkeypatch.setenv("REPRO_DEADLETTER", "0")
-        bad = ExperimentPoint("no-such-benchmark", "baseline", 20,
-                              scale=0.01, warmup=50)
-        with pytest.raises(Exception):
-            run_points([bad], jobs=1, use_cache=False, backend="serial")
-        assert DeadletterStore(tmp_path / "dl").entries() == []
-
     def test_cli_lists_quarantined_points(self, tmp_path, capsys):
         from repro.obs import __main__ as obs_cli
 
@@ -724,15 +715,15 @@ class TestRunManifest:
         assert header["plan"] == plan                 # rewritten for us
 
     def test_resolve_manifest_modes(self, tmp_path, monkeypatch):
-        assert resolve_manifest(False, self.KEYS) is None
+        assert resolve_manifest(False, self.KEYS, Settings.from_env()) is None
         monkeypatch.delenv("REPRO_MANIFEST", raising=False)
-        assert resolve_manifest(None, self.KEYS) is None
+        assert resolve_manifest(None, self.KEYS, Settings.from_env()) is None
         monkeypatch.setenv("REPRO_MANIFEST", "1")
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
-        via_env = resolve_manifest(None, self.KEYS)
+        via_env = resolve_manifest(None, self.KEYS, Settings.from_env())
         assert isinstance(via_env, RunManifest)
         via_env.close()
-        explicit = resolve_manifest(tmp_path, self.KEYS)
+        explicit = resolve_manifest(tmp_path, self.KEYS, Settings.from_env())
         assert explicit.path == via_env.path
         explicit.close()
 
@@ -872,19 +863,6 @@ class TestDegradation:
         assert len(point_events) == len(small_plan())
         assert {e.source for e in point_events} == {"worker"}
 
-    def test_degradation_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEGRADE", "0")
-
-        class DeadBackend(ExecutionBackend):
-            name = "queue"
-            source = "queue"
-
-            def execute(self, batches, report, *, jobs):
-                raise BackendUnavailable("injected: no workers here")
-
-        with pytest.raises(BackendUnavailable, match="no workers"):
-            run_plan(small_plan(), jobs=2, use_cache=False,
-                     backend=DeadBackend())
 
 
 # -- chaos must not leak into keys or fault-free runs -------------------------
@@ -898,7 +876,6 @@ class TestFaultsAreKeyNeutral:
         clean = point_key(point)
         monkeypatch.setenv("REPRO_FAULTS", "7:mixed")
         monkeypatch.setenv("REPRO_POINT_TIMEOUT", "60")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
         assert point_key(point) == clean
 
     def test_faults_package_is_outside_the_code_fingerprint(self):

@@ -5,9 +5,9 @@ x 2-depth sweep must produce identical keyed results under
 ``REPRO_JOBS=1``, ``REPRO_JOBS=4`` and a cached re-run — and the cached
 replay must be at least 10x faster than the cold run.  The hypothesis
 property extends the equality invariant across every execution backend:
-batched, unbatched-parallel, serial, queue-worker and cache-replayed
-grids are ``==`` in both speculation modes (the queue fault machinery
-has its own suite in ``test_backends.py``).
+local-pool, serial, queue-worker and cache-replayed grids are ``==`` in
+both speculation modes (the queue fault machinery has its own suite in
+``test_backends.py``).
 """
 
 import tempfile
@@ -28,7 +28,6 @@ from repro.experiments.plan import (
 from repro.experiments.runner import run_suite
 from repro.experiments.scheduler import (
     _make_batches,
-    default_batching,
     default_jobs,
     run_plan,
     run_points,
@@ -134,7 +133,7 @@ class TestSchedulerBehaviour:
         plan = build_plan(("baseline", "current", "load back", "perfect"),
                           (20, 40), ("li",), scale=0.01, warmup=50)
         events = []
-        results = run_plan(plan, jobs=2, use_cache=False, batch=True,
+        results = run_plan(plan, jobs=2, use_cache=False,
                            progress=events.append)
         point_events = [e for e in events if e.phase == "point"]
         lower_events = [e for e in events if e.phase == "lower"]
@@ -192,18 +191,10 @@ class TestSchedulerBehaviour:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
         monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert default_jobs() >= 1
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() >= 1
-
-    def test_default_batching_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert default_batching() is True
-        for off in ("0", "false", "no", "off", "FALSE"):
-            monkeypatch.setenv("REPRO_BATCH", off)
-            assert default_batching() is False
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert default_batching() is True
 
 
 class TestBatching:
@@ -260,9 +251,9 @@ class TestBatching:
     )
     def test_all_backends_and_cache_replay_are_equal(
             self, benchmarks, configurations, depths, seed, speculation):
-        """The cross-backend differential property: serial, local-pool
-        (batched and unbatched), queue-worker and cache-replayed
-        execution return ``==`` results, in both speculation modes."""
+        """The cross-backend differential property: serial, local-pool,
+        queue-worker and cache-replayed execution return ``==`` results,
+        in both speculation modes."""
         plan = plan_from_points([
             ExperimentPoint(benchmark, configuration, depth, scale=0.01,
                             warmup=50, seed=seed, speculation=speculation)
@@ -271,10 +262,8 @@ class TestBatching:
             for depth in depths
         ])
         serial = run_plan(plan, jobs=1, use_cache=False)
-        batched = run_plan(plan, jobs=2, use_cache=False, batch=True)
-        unbatched = run_plan(plan, jobs=2, use_cache=False, batch=False)
-        assert batched == serial
-        assert unbatched == serial
+        pooled = run_plan(plan, jobs=2, use_cache=False)
+        assert pooled == serial
         queued = run_plan(
             plan, jobs=2, use_cache=False,
             backend=QueueBackend(workers=2, lease_timeout=10.0, poll=0.01,

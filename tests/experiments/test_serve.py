@@ -16,7 +16,8 @@ import pytest
 from repro.experiments.aggregate import ViewAggregator, canonical_json
 from repro.experiments.plan import build_plan
 from repro.experiments.scheduler import run_plan
-from repro.serve import DEFAULT_PORT, ViewServer, serve_port
+from repro.serve import DEFAULT_PORT, ViewServer
+from repro.settings import Settings
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -138,12 +139,12 @@ class TestEndpoints:
 
     def test_default_port_knob(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
-        assert serve_port() == DEFAULT_PORT
+        assert Settings.from_env().serve_port == DEFAULT_PORT
         monkeypatch.setenv("REPRO_SERVE_PORT", "0")
-        assert serve_port() == 0
+        assert Settings.from_env().serve_port == 0
         monkeypatch.setenv("REPRO_SERVE_PORT", "nope")
         with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            serve_port()
+            ViewServer(ViewAggregator())
 
 
 class TestConcurrentReaders:

@@ -18,7 +18,6 @@ from repro.experiments.scheduler import run_plan
 from repro.experiments.tracing import (
     SharedTraces,
     TraceStore,
-    default_trace_dir,
     kernel_mode,
     load_or_record,
     spec_mode,
@@ -89,7 +88,7 @@ class TestKnobs:
 
     def test_default_trace_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        assert default_trace_dir() == tmp_path
+        assert TraceStore().directory == tmp_path
 
     def test_trace_key_covers_workload_identity(self):
         base = trace_key("m88ksim", SCALE, 1)
@@ -259,8 +258,7 @@ class TestGridEquality:
             live = run_plan(plan, jobs=1, use_cache=False)
             os.environ["REPRO_TRACE"] = "1"
             traced_serial = run_plan(plan, jobs=1, use_cache=False)
-            traced_batched = run_plan(plan, jobs=2, use_cache=False,
-                                      batch=True)
+            traced_batched = run_plan(plan, jobs=2, use_cache=False)
         finally:
             if previous is None:
                 os.environ.pop("REPRO_TRACE", None)

@@ -21,6 +21,7 @@ from repro.experiments.plan import build_plan
 from repro.experiments.scheduler import run_plan
 from repro.obs.__main__ import main as obs_main
 from repro.obs.ledger import build_span_tree, read_events, validate_event
+from repro.settings import Settings
 
 PLAN_KW = dict(configurations=("baseline", "current"), depths=(20, 40),
                benchmarks=("li",), scale=0.01, warmup=50)
@@ -96,6 +97,11 @@ class TestSerialLedger:
         assert run.closed and tree.roots == [run]
         [plan] = tree.find("plan")
         assert plan in run.children
+        # The plan records every knob it resolved, exactly once.
+        [recorded] = [e for e in plan.events if e["name"] == "settings"]
+        assert recorded["attrs"] == Settings.from_env().to_dict()
+        assert recorded["attrs"]["trace"] == "off"
+        assert recorded["attrs"]["obs_interval"] == 64
         points = tree.find("point")
         assert len(points) == len(small_plan())
         for point in points:
@@ -131,6 +137,7 @@ class TestSerialLedger:
         assert obs_main(["summary", str(run_dir)]) == 0
         out = capsys.readouterr().out
         assert "phase timing:" in out and "plan" in out
+        assert "settings:" in out and "  obs = True" in out
         assert "UNCLOSED" not in out
         assert obs_main(["validate", str(run_dir)]) == 0
         assert "all valid" in capsys.readouterr().out

@@ -268,7 +268,7 @@ class TestProgressPhase:
     def _run(self, events):
         plan = build_plan(("baseline",), (20, 40, 60), ("li",),
                           scale=0.01, warmup=50)
-        results = run_plan(plan, jobs=1, use_cache=False, batch=True,
+        results = run_plan(plan, jobs=1, use_cache=False,
                            backend="serial", progress=events.append)
         return plan, results
 
