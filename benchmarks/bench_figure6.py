@@ -54,3 +54,16 @@ def test_figure6(benchmark, save_result, scale, warmup, depth):
         for config in ("baseline", "current")
     }
     assert mean_acc["current"] > mean_acc["baseline"]
+
+
+def test_gain_does_not_shrink_with_depth(scale, warmup):
+    # Shape 6 (paper: +12.6% at 20 stages, +15.6% at 60): the per-depth
+    # grids above come back from the result cache, so this only compares.
+    shallow = run_figure6(20, scale=scale, warmup=warmup)
+    deep = run_figure6(60, scale=scale, warmup=warmup)
+    for config in ("current", "load back"):
+        gain_20 = shallow.mean_ipc_gain_percent(config)
+        gain_60 = deep.mean_ipc_gain_percent(config)
+        assert gain_60 >= gain_20, (
+            f"{config}: mean IPC gain shrank with depth "
+            f"({gain_20:.2f}% at 20 stages, {gain_60:.2f}% at 60)")

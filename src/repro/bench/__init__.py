@@ -15,9 +15,11 @@ is tracked from PR 3 onward:
   numbers stay informational).  The PR 4 interpreted-replay numbers
   are carried forward (``kernel.pr4_baseline``) so the kernel's
   speedup over them stays visible across regenerations;
-* **ARVI kernel replay** (DESIGN.md §13): the ``current`` ARVI
-  configuration through the fused kernel pass vs live — the paper's
-  own sweep axis, hard-gated bit-for-bit like the stream kinds;
+* **ARVI kernel replay** (DESIGN.md §13): every ARVI value mode
+  (``current``, ``load back``, ``perfect``) through the kernel's ARVI
+  pass vs live — the paper's own sweep axis, hard-gated bit-for-bit
+  like the stream kinds (``load back`` alone reaches the hoist times,
+  ``perfect`` alone exposes pending values);
 * **grid trace amortization**: a redirect configuration x depth grid run
   with trace sharing on vs off (``REPRO_TRACE``), tracking the
   batch-amortized record-once/replay-many win;
@@ -58,8 +60,10 @@ from repro.settings import (
 )
 from repro.workloads.registry import get_program
 
-#: v7: the ``grid_batching`` section left with ``REPRO_BATCH`` and a
-#: ``settings`` section records the resolved knobs; v6: the interpreted
+#: v8: ``arvi_kernel`` covers all three value modes, keyed
+#: ``"<benchmark>/<configuration>"``; v7: the ``grid_batching`` section
+#: left with ``REPRO_BATCH`` and a ``settings`` section records the
+#: resolved knobs; v6: the interpreted
 #: and generated-code replay tiers are gone, so their ``trace_replay``
 #: and codegen sections are dropped and ``kernel`` / ``arvi_kernel``
 #: share one shape (kernel vs live, per-phase timings); v5:
@@ -69,7 +73,7 @@ from repro.workloads.registry import get_program
 #: the ``observability`` section + CI gate; v3 added the kernel section +
 #: carried PR 4 baseline (PR 6); v2 added trace_replay + grid_trace
 #: (PR 4).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Single-point measurements: (benchmark, speculation mode).
 POINT_MATRIX = (
@@ -84,6 +88,9 @@ POINT_MATRIX = (
 GRID_CONFIGURATIONS = ("baseline", "current", "load back", "perfect")
 GRID_DEPTHS = (20, 40, 60)
 GRID_BENCHMARK = "m88ksim"
+
+#: The ARVI value modes the ``arvi_kernel`` section gates and reports.
+ARVI_CONFIGURATIONS = ("current", "load back", "perfect")
 
 
 def repo_root() -> pathlib.Path:
@@ -378,8 +385,10 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
         if pr4 is not None:
             report["kernel"]["pr4_baseline"] = pr4
         report["arvi_kernel"] = {}
-        for section, configuration in (("kernel", "baseline"),
-                                       ("arvi_kernel", "current")):
+        sections = [("kernel", "baseline")] + [
+            ("arvi_kernel", configuration)
+            for configuration in ARVI_CONFIGURATIONS]
+        for section, configuration in sections:
             for benchmark in redirect:
                 sample = measure_kernel_replay(
                     benchmark, configuration, scale=scale, warmup=warmup,
@@ -391,7 +400,9 @@ def run_bench(*, scale: float = 1.0, warmup: int = 1000, repeats: int = 3,
                     if base:
                         sample["kernel_vs_pr4_replay"] = round(
                             sample["kernel_sim_ips"] / base, 3)
-                report[section][benchmark] = sample
+                key = (benchmark if section == "kernel"
+                       else f"{benchmark}/{configuration}")
+                report[section][key] = sample
                 echo(f"{benchmark} {configuration} kernel replay: "
                      f"{sample['kernel_sim_ips']:,.0f} sim-inst/s vs live "
                      f"{sample['live_sim_ips']:,.0f} "

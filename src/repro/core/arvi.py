@@ -49,7 +49,6 @@ class ARVIConfig:
     index_bits: int = DEFAULT_INDEX_BITS
     id_tag_bits: int = DEFAULT_ID_TAG_BITS
     depth_bits: int = DEFAULT_DEPTH_BITS
-    value_bits: int = 11
     # Only allocate BVIT entries for low-confidence (difficult) branches,
     # implementing the paper's "L1 filters easy branches" resource policy.
     allocate_only_hard: bool = True

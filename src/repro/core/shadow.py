@@ -12,11 +12,17 @@ To avoid extra register-file ports, ARVI keeps:
 
 from __future__ import annotations
 
+#: Low-order value bits the shadow register file keeps (paper: 11).
+DEFAULT_VALUE_BITS = 11
+#: Logical-register id bits the shadow map table keeps (paper: 3).
+DEFAULT_ID_BITS = 3
+
 
 class ShadowRegisterFile:
     """Low-order committed value bits per physical register."""
 
-    def __init__(self, num_phys_regs: int, value_bits: int = 11) -> None:
+    def __init__(self, num_phys_regs: int,
+                 value_bits: int = DEFAULT_VALUE_BITS) -> None:
         if value_bits < 1:
             raise ValueError("value_bits must be positive")
         self.num_phys_regs = num_phys_regs
@@ -49,7 +55,8 @@ class ShadowRegisterFile:
 class ShadowMapTable:
     """Low-order logical register id per physical register."""
 
-    def __init__(self, num_phys_regs: int, id_bits: int = 3) -> None:
+    def __init__(self, num_phys_regs: int,
+                 id_bits: int = DEFAULT_ID_BITS) -> None:
         if id_bits < 1:
             raise ValueError("id_bits must be positive")
         self.num_phys_regs = num_phys_regs

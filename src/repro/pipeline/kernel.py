@@ -14,7 +14,8 @@ by every redirect timing point of a batch:
 * dependence distances from a one-shot DDT-style last-writer pass
   (``dep1``/``dep2`` name the producing *stream index* of each source
   register — exactly what renamed physical-register readiness resolves
-  to in the engine, see DESIGN.md §10),
+  to in the engine, see DESIGN.md §10; ``-1`` is "no such source" and
+  ``-2 - r`` a read of logical *r*'s initial value),
 * store-forwarding sources per memory op (the latest prior store to the
   same word — the engine's ``pending_stores`` dict, precomputed),
 * ROB/LSQ occupancy metadata (memory-op stream positions, so the
@@ -29,12 +30,12 @@ array pass over the lowered form: the same fetch/issue/commit arithmetic
 as :meth:`~repro.pipeline.engine.PipelineEngine.run`, stage for stage,
 minus everything that cannot affect a redirect-mode result.  For the
 hybrid/none kinds that strips *all* rename/DDT/RSE/shadow maintenance
-(their decisions precompute into shared streams); for the ARVI kinds a
-fused pass (DESIGN.md §13) keeps exactly the state the BVIT lookup keys
-read — the DDT retirement window, pending/shadow register values and
-load-hoist times, which are timing-*dependent* per configuration — and
-reuses precomputed level-1/confidence streams.  Results are
-**bit-for-bit equal** to live execution through
+(their decisions precompute into shared streams); for the ARVI kinds
+the pass (DESIGN.md §13) reuses precomputed level-1/confidence streams
+and per-branch dependence-ancestor masks, and keeps only what is
+timing-*dependent* per configuration — a retire pointer that cuts each
+mask to the in-flight DDT chain, the load-hoist times and the BVIT.
+Results are **bit-for-bit equal** to live execution through
 :class:`~repro.pipeline.engine.PipelineEngine` — enforced by the
 equality suites (``tests/pipeline/test_kernel.py``,
 ``tests/pipeline/test_kernel_arvi.py``) and by the hard gates in
@@ -54,13 +55,11 @@ increments the ``kernel_fallback_total`` counter with its reason.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from heapq import heappop, heappush
 
 from repro.core.arvi import ARVIConfig, ValueMode
 from repro.core.bvit import BVIT
-from repro.core.ddt import FastDDT
-from repro.core.shadow import ShadowMapTable, ShadowRegisterFile
+from repro.core.shadow import DEFAULT_ID_BITS, DEFAULT_VALUE_BITS
 from repro.isa import regs
 from repro.isa.decoded import (
     FU_ALU as K_ALU,
@@ -76,7 +75,6 @@ from repro.isa.program import DATA_BASE, STACK_TOP, Program
 from repro.pipeline.caches import MemoryHierarchy
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
-from repro.pipeline.rename import RenameMap
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import CommittedTrace, TraceError
 from repro.predictors.confidence import ConfidenceEstimator
@@ -106,15 +104,20 @@ _LINE_CHANGE = 8
 
 _REDIRECT_LATENCY = 1  # keep in sync with pipeline.engine
 
+#: Value bits the engine's shadow register file keeps per register.
+_SHADOW_VALUE_MASK = (1 << DEFAULT_VALUE_BITS) - 1
+#: Logical-id bits the engine's shadow map table keeps per register.
+_SHADOW_ID_MASK = (1 << DEFAULT_ID_BITS) - 1
+
 _SUPPORTED_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
                     LevelTwoKind.ARVI)
 
 #: Level-2 kinds whose branch decisions are fully timing-independent and
 #: therefore precompute into shared :class:`_BranchStreams` — the form
 #: the flattened stream loop replays.  ARVI is supported by
-#: :func:`kernel_run` but runs its own fused pass: only its
-#: level-1/confidence streams are timing-independent; the BVIT/RSE side
-#: reads live DDT and register-timing state per configuration.
+#: :func:`kernel_run` but runs its own pass: its level-1/confidence
+#: streams and chain masks are timing-independent, but the BVIT keys
+#: read per-configuration retirement and hoist timing.
 _STREAM_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE)
 
 
@@ -183,15 +186,15 @@ class _BranchStreams:
 class _ARVIPreStreams:
     """Timing-independent per-branch ARVI inputs, shared across configs.
 
-    For the ARVI configurations only the level-1 gskew prediction and
-    the confidence verdict are timing-independent: both consume nothing
-    but the committed (pc, taken) branch sequence, and each branch's
-    predict immediately precedes its own train in program order (no
-    other instruction touches either structure).  The BVIT/RSE side is
-    *not* precomputable — its lookup keys read the live DDT retirement
-    window, shadow values and load-hoist timing, which differ per
-    machine configuration — so :func:`kernel_run` replays it live in
-    the fused ARVI pass while reusing these streams.
+    The level-1 gskew prediction and the confidence verdict consume
+    nothing but the committed (pc, taken) branch sequence, and each
+    branch's predict immediately precedes its own train in program
+    order (no other instruction touches either structure).  The BVIT
+    side is *not* precomputable — its lookup keys read which chain
+    members have retired and when loads could have been hoisted, which
+    differ per machine configuration — so :func:`kernel_run` replays it
+    per config in the ARVI pass while reusing these streams (and the
+    chain masks of :meth:`LoweredTrace.arvi_chains`).
     """
 
     __slots__ = ("l1_pred", "confident")
@@ -225,7 +228,7 @@ class LoweredTrace:
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
         "jr_pos", "jr_correct_cum", "_hasres",
-        "_codes", "_streams", "_values", "_arvi_pre",
+        "_codes", "_streams", "_values", "_arvi_pre", "_chains",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -301,6 +304,44 @@ class LoweredTrace:
             self._arvi_pre = pre
         return pre
 
+    def arvi_chains(self, rob_entries: int) -> list[int]:
+        """Per-branch register-dependence ancestors in a ROB window (cached).
+
+        Entry *j* belongs to the *j*-th conditional branch (stream index
+        *i*): bit *k* is set iff instruction *i - k* is a transitive
+        register-dependence ancestor of the branch's sources, for
+        ``1 <= k < rob_entries``.  Commit is in order, so the DDT chain
+        at the branch's rename is exactly this mask cut to the in-flight
+        suffix ``[h, i)`` (bits ``k <= i - h``) — and the ROB keeps
+        ``i - h < rob_entries``, so farther ancestors never matter
+        (DESIGN.md §13).  One pass over ``dep1``/``dep2`` with a
+        ROB-sized ring of per-instruction rows (``ring[x % rob]`` is
+        instruction *x*'s own ancestor set, itself as bit 0).
+        """
+        chains = self._chains.get(rob_entries)
+        if chains is not None:
+            return chains
+        rob = rob_entries
+        window = (1 << rob) - 1
+        ring = [0] * rob
+        dep1 = self.dep1
+        dep2 = self.dep2
+        chains = []
+        for i, k in enumerate(self.kclass):
+            row = 0
+            p = dep1[i]
+            if p >= 0 and i - p < rob:
+                row = ring[p % rob] << (i - p)
+            p = dep2[i]
+            if p >= 0 and i - p < rob:
+                row |= ring[p % rob] << (i - p)
+            row &= window
+            if k == K_BRANCH:
+                chains.append(row)
+            ring[i % rob] = row | 1
+        self._chains[rob_entries] = chains
+        return chains
+
 
 def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     trace.validate_for(program)
@@ -320,6 +361,7 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered._streams = {}
     lowered._values = None
     lowered._arvi_pre = None
+    lowered._chains = {}
 
     kclass = [cls_tab[pc] for pc in pcs_list]
     lowered.kclass = kclass
@@ -362,9 +404,12 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     # One-shot DDT-style dependence pass: each source register resolves
     # to the stream index of its last prior writer (the instruction whose
     # physical destination register the engine's rename map would read).
+    # A read of logical r's initial value resolves to ``-2 - r`` (never a
+    # stream index, so the timing loops' ``dep >= 0`` tests skip it, and
+    # distinct from ``-1``, "no such source").
     dep1 = [-1] * n
     dep2 = [-1] * n
-    last_writer = [-1] * 32
+    last_writer = [-2 - r for r in range(32)]
     for i, pc in enumerate(pcs_list):
         src = src1_tab[pc]
         if src >= 0:
@@ -461,10 +506,10 @@ def kernel_run(program: Program, trace: CommittedTrace,
     latencies cannot be precomputed.
 
     ``LevelTwoKind.ARVI`` (``value_mode`` / ``arvi_config`` select the
-    paper's evaluation configurations) runs the fused ARVI pass: the
-    shared level-1/confidence streams are precomputed once per trace,
-    while the DDT/RSE/BVIT machinery replays live per configuration —
-    its lookup keys depend on per-config retirement timing.
+    paper's evaluation configurations) runs the ARVI pass: the shared
+    level-1/confidence streams and chain masks are precomputed once per
+    trace (per ROB size), while the chain cut-off and the BVIT replay
+    per configuration — the lookup keys depend on retirement timing.
     """
     if config.speculation != "redirect":
         raise KernelUnsupported(
@@ -714,74 +759,58 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                  config: MachineConfig, value_mode: ValueMode,
                  arvi_config: ARVIConfig | None, warmup: int,
                  n_run: int) -> SimulationResult:
-    """The fused ARVI pass: engine semantics, flat-loop mechanics.
+    """The ARVI pass: engine semantics, flat-loop mechanics.
 
     Mirrors :meth:`PipelineEngine.run` stage for stage for the ARVI
     configurations.  The timing arithmetic (fetch / issue / commit /
-    redirect) is the stream kernel's; on top of it the pass maintains
-    the real rename / DDT / chain-info / shadow structures and drains a
-    retire queue at each instruction's rename cycle, because the ARVI
-    lookup keys read exactly that state: which chain instructions are
-    still in flight, which leaf registers are pending, their shadow (or
-    exposed) values, and the chain-depth span.  The level-1 prediction
-    and the confidence verdict are timing-independent and come from the
-    shared :class:`_ARVIPreStreams`; the BVIT runs live (fresh table
-    per config, as the engine builds a fresh predictor).
+    redirect) is the stream kernel's; the ARVI state on top of it is a
+    single *retire pointer* ``h``.  Commit is in order and redirect mode
+    never rolls back, so DDT tokens are stream indices, the in-flight
+    set at branch *i*'s rename cycle is the suffix ``[h, i)`` (``h``
+    counts the instructions committed by then), and the engine's DDT
+    chain is the branch's precomputed register-dependence ancestor mask
+    (:meth:`LoweredTrace.arvi_chains`) cut to that suffix.  The RSE leaf
+    set, the pending/available verdicts, the shadow (or exposed) values
+    and logical ids all follow from the producing stream index of each
+    leaf: a leaf is pending iff its producer is still in flight
+    (``>= h``), its value is the producer's committed result, and under
+    ``load back`` a pending load leaf is exposed once its hoisted
+    availability (``hoist``) has passed.  No rename map, free list, DDT,
+    chain-info table or shadow file is kept (DESIGN.md §13).
 
-    Deliberate deviation from ISSUE 9's premise: the *full* ARVI
-    decision stream is **not** timing-independent per latency class —
-    availability and chain membership depend on per-config commit
-    timing — so it cannot be lowered into shared prefix sums the way
-    the gskew streams were.  Equality with the live engine is what the
-    tests and the bench gate assert instead.
+    ``RenameError`` / ``DDTError`` cannot arise: the engine maps
+    ``num_phys_regs = 32 + rob_entries`` registers and sizes the DDT to
+    ``rob_entries`` columns, and the ROB stall in fetch bounds the
+    in-flight instructions to ``rob_entries``, so neither the free list
+    nor the DDT can run out in redirect mode.
+
+    The level-1 prediction and the confidence verdict are
+    timing-independent and come from the shared :class:`_ARVIPreStreams`;
+    the BVIT runs live (fresh table per config, as the engine builds a
+    fresh predictor).  The full ARVI decision stream is **not**
+    timing-independent — the cut ``h`` and the hoist times depend on
+    per-config commit timing — so equality with the live engine is what
+    the tests and the bench gate assert.
     """
-    _cls, src1_tab, src2_tab, wr_tab, _ras, _hr = \
+    _cls, _src1, _src2, wr_tab, _ras, _hr = \
         program.decoded().static_columns()
     pre = lowered.arvi_prestreams()
+    chains = lowered.arvi_chains(config.rob_entries)
     acfg = arvi_config or ARVIConfig()
     memory = MemoryHierarchy(config)
-    n_pregs = config.num_phys_regs
-
-    # Real structures, aliased like the engine's fused loop.
-    rename = RenameMap(n_pregs)
-    rename_map = rename._map
-    rename_free = rename._free
-    rename_owner = rename._owner
-    free_popleft = rename_free.popleft
-    free_append = rename_free.append
-    ddt = FastDDT(n_pregs, config.rob_entries)
-    ddt_allocate = ddt.allocate
-    ddt_commit = ddt.commit_oldest
-    chains_info: dict[int, tuple[int | None, tuple[int, ...], bool]] = {}
-    chains_pop = chains_info.pop
     bvit = BVIT(acfg.sets, acfg.ways)
     bvit_lookup = bvit.lookup
     bvit_update = bvit.update
-    shadow_values = ShadowRegisterFile(n_pregs)
-    shadow_map = ShadowMapTable(n_pregs)
-    shadow_vals = shadow_values._values
-    shadow_ids = shadow_map._ids
-    value_mask = shadow_values._mask
-    shadow_id_mask = shadow_map._mask
 
-    registers = [0] * 32
-    registers[regs.sp] = STACK_TOP
-    registers[regs.gp] = DATA_BASE
-    preg_value = [0] * n_pregs
-    for logical in range(rename.num_logical):
-        preg = rename_map[logical]
-        shadow_ids[preg] = logical & shadow_id_mask
-        shadow_vals[preg] = registers[logical] & value_mask
-        preg_value[preg] = registers[logical]
-    preg_pending = [False] * n_pregs
-    preg_is_load = [False] * n_pregs
-    preg_hoist = [0] * n_pregs
-    retire: deque[tuple] = deque()
-    retire_append = retire.append
-    retire_popleft = retire.popleft
+    # Initial architectural register values (the functional core's), the
+    # leaves of producer code ``-2 - r``.
+    initial = [0] * 32
+    initial[regs.sp] = STACK_TOP
+    initial[regs.gp] = DATA_BASE
 
     # ---- hot locals (the stream kernel's, plus the ARVI state) ------------
     pcs = lowered.pcs
+    kclass = lowered.kclass
     codes = lowered.codes_for(~(config.icache.line_bytes - 1))
     byte_pcs = lowered.byte_pcs
     dep1 = lowered.dep1
@@ -808,7 +837,11 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     override_redirect = config.predictor_latencies.level2_arvi + 1
     muldiv_scalar = config.int_muldiv == 1
     index_mask = (1 << acfg.index_bits) - 1
+    # Shadow register file (11-bit values) then the hash's index width.
+    value_index_mask = _SHADOW_VALUE_MASK & index_mask
     id_tag_mask = (1 << acfg.id_tag_bits) - 1
+    # Shadow map table (3-bit logical ids) then the id tag's width.
+    id_mask = _SHADOW_ID_MASK & id_tag_mask
     depth_limit = (1 << acfg.depth_bits) - 1
     use_id_tag = acfg.use_id_tag
     use_depth_tag = acfg.use_depth_tag
@@ -818,6 +851,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
 
     complete_arr = [0] * n_run
     commit_arr = [0] * n_run
+    # Hoisted load availability (engine _hoist_available); "load back" only.
+    hoist = [0] * n_run if is_load_back else None
     alu_free = [0] * config.int_alus
     dcache_free = [0] * config.dcache_ports
     muldiv_free = 0
@@ -828,6 +863,10 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     last_commit = 0
     mem_i = 0
     branch_i = 0
+    # Retire pointer: the instructions committed by the current branch's
+    # rename cycle.  Rename cycles never decrease, so advancing it only
+    # at branches finds the same h as the engine's per-instruction drain.
+    h = 0
 
     cond_branches = final_correct_n = l1_correct_n = 0
     overrides_n = helpful_n = harmful_n = l2_used_n = 0
@@ -861,104 +900,70 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         fetch_used += 1
         fetch = fetch_cycle
 
-        # ---- rename (early, one cycle after fetch) ------------------------
-        rename_cycle = fetch + rename_offset
-        if retire and retire[0][3] <= rename_cycle:
-            while retire and retire[0][3] <= rename_cycle:
-                token, dest, value, _c, displaced = retire_popleft()
-                ddt_commit()
-                chains_pop(token, None)
-                if dest is not None:
-                    shadow_vals[dest] = value & value_mask
-                    preg_pending[dest] = False
-                if displaced is not None:
-                    free_append(displaced)
-
-        pc = pcs[i]
-        s1 = src1_tab[pc]
-        if s1 >= 0:
-            s2 = src2_tab[pc]
-            if s2 >= 0:
-                src_pregs = (rename_map[s1], rename_map[s2])
-            else:
-                src_pregs = (rename_map[s1],)
-        else:
-            src_pregs = ()
-
-        # ---- ARVI decision (reads the DDT *before* the branch inserts) ----
-        is_branch = k == K_BRANCH
-        if is_branch:
+        # ---- ARVI decision at rename (one cycle after fetch) --------------
+        if k == K_BRANCH:
+            rename_cycle = fetch + rename_offset
+            while h < i and commit_arr[h] <= rename_cycle:
+                h += 1
             taken = branch_taken[branch_i]
             l1_pred = l1_stream[branch_i]
             confident = conf_stream[branch_i]
-            ddt_rows = ddt.rows  # rebound by renormalization; no hoisting
-            cmask = 0
-            for preg in src_pregs:
-                cmask |= ddt_rows[preg]
-            cmask &= ddt.valid
-            base = ddt._base
-            if cmask:
-                oldest = base + (cmask & -cmask).bit_length() - 1
+            # The DDT chain: ancestors still in flight (bits k <= i - h).
+            chain = chains[branch_i] & ((2 << (i - h)) - 1)
+            # RSE extraction (ChainInfoTable.extract over producers:
+            # loads terminate chains and mark nothing).
+            rse_sources = set()
+            p = dep1[i]
+            if p != -1:
+                rse_sources.add(p)
+                p = dep2[i]
+                if p != -1:
+                    rse_sources.add(p)
+            if chain:
+                span = chain.bit_length() - 1
+                rse_targets = set()
+                m = chain
+                while m:
+                    low = m & -m
+                    m ^= low
+                    x = i + 1 - low.bit_length()
+                    if kclass[x] != K_LOAD:
+                        rse_targets.add(x)
+                        p = dep1[x]
+                        if p != -1:
+                            rse_sources.add(p)
+                            p = dep2[x]
+                            if p != -1:
+                                rse_sources.add(p)
+                if rse_targets:
+                    rse_sources -= rse_targets
             else:
-                oldest = None
-            # RSE extraction (ChainInfoTable.extract, inlined over the
-            # chain bitmask: loads terminate chains and mark nothing).
-            rse_sources = set(src_pregs)
-            rse_targets = None
-            m = cmask
-            while m:
-                low = m & -m
-                m ^= low
-                dest, srcs, is_ld = chains_info[
-                    base + low.bit_length() - 1]
-                if not is_ld:
-                    rse_sources.update(srcs)
-                    if dest is not None:
-                        if rse_targets is None:
-                            rse_targets = {dest}
-                        else:
-                            rse_targets.add(dest)
-            regset = (rse_sources if rse_targets is None
-                      else rse_sources - rse_targets)
+                span = 0
             # Key formation (ARVIPredictor.keys, inlined: XOR fold, id
             # sum and any() are commutative, so no sorted() pass).
-            index = pc & index_mask
+            index = pcs[i] & index_mask
             id_sum = 0
             is_load_branch = False
-            for preg in regset:
-                if not preg_pending[preg]:
-                    index ^= shadow_vals[preg] & index_mask
-                elif is_perfect or (is_load_back and preg_is_load[preg]
-                                    and preg_hoist[preg] <= fetch):
-                    index ^= preg_value[preg] & value_mask & index_mask
+            for p in rse_sources:
+                if p < 0:  # an initial register value, never pending
+                    index ^= initial[-2 - p] & value_index_mask
+                    id_sum += (-2 - p) & id_mask
+                    continue
+                if p < h or is_perfect or (
+                        is_load_back and kclass[p] == K_LOAD
+                        and hoist[p] <= fetch):
+                    index ^= values[p] & value_index_mask
                 else:
                     is_load_branch = True
-                id_sum += shadow_ids[preg] & id_tag_mask
+                id_sum += wr_tab[pcs[p]] & id_mask
             id_tag = id_sum & id_tag_mask if use_id_tag else 0
-            if use_depth_tag and oldest is not None:
-                span = ddt._next_token - oldest
+            if use_depth_tag:
                 depth_tag = span if span < depth_limit else depth_limit
             else:
                 depth_tag = 0
             arvi_taken = bvit_lookup(index, id_tag, depth_tag)
             use_arvi = arvi_taken is not None and not confident
             final = arvi_taken if use_arvi else l1_pred
-
-        # ---- destination rename + DDT insert ------------------------------
-        rd = wr_tab[pc]
-        if rd >= 0:
-            if not rename_free:
-                rename.rename_dest(rd)  # raises RenameError (engine parity)
-            dest_preg = free_popleft()
-            displaced = rename_map[rd]
-            rename_map[rd] = dest_preg
-            rename_owner[dest_preg] = rd
-            shadow_ids[dest_preg] = rd & shadow_id_mask
-        else:
-            dest_preg = None
-            displaced = None
-        token = ddt_allocate(dest_preg, src_pregs)
-        chains_info[token] = (dest_preg, src_pregs, k == K_LOAD)
 
         # ---- issue / execute ---------------------------------------------
         operands = 0
@@ -973,7 +978,6 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         ready = fetch + frontend_depth
         if operands > ready:
             ready = operands
-        hoist_val = 0
         if k == K_ALU or k == K_BRANCH:
             server_free = heappop(alu_free)
             issue = ready if ready >= server_free else server_free
@@ -994,15 +998,13 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                             else data_ready) + 1
             else:
                 complete = access + mem_dlat(mem_addr[mem_i])
-            # Hoisted availability (engine _hoist_available): operand
-            # readiness, gated by the forwarding store's data, plus the
-            # load's actual latency.  Read only under "load back".
-            hoist_start = operands
-            if source >= 0:
-                data_ready = complete_arr[source]
-                if data_ready > hoist_start:
-                    hoist_start = data_ready
-            hoist_val = hoist_start + (complete - issue)
+            if is_load_back:
+                # Hoisted availability: operand readiness, gated by the
+                # forwarding store's data, plus the actual latency.
+                hoist_start = operands
+                if source >= 0 and complete_arr[source] > hoist_start:
+                    hoist_start = complete_arr[source]
+                hoist[i] = hoist_start + (complete - issue)
             mem_i += 1
         elif k == K_STORE:
             server_free = heappop(alu_free)
@@ -1049,21 +1051,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         commit_arr[i] = last_commit
         complete_arr[i] = complete
 
-        # ---- writeback bookkeeping ----------------------------------------
-        if dest_preg is not None:
-            value = values[i]
-            preg_value[dest_preg] = value
-            preg_pending[dest_preg] = True
-            is_ld = k == K_LOAD
-            preg_is_load[dest_preg] = is_ld
-            if is_ld:
-                preg_hoist[dest_preg] = hoist_val
-        else:
-            value = 0
-        retire_append((token, dest_preg, value, last_commit, displaced))
-
         # ---- control flow resolution + training ---------------------------
-        if is_branch:
+        if k == K_BRANCH:
             final_correct = final == taken
             override = use_arvi and final != l1_pred
             if not final_correct:
