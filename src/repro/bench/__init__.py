@@ -21,8 +21,8 @@ is tracked from PR 3 onward:
   like the stream kinds (``load back`` alone reaches the hoist times,
   ``perfect`` alone exposes pending values);
 * **grid trace amortization**: a redirect configuration x depth grid run
-  with trace sharing on vs off (``REPRO_TRACE``), tracking the
-  batch-amortized record-once/replay-many win;
+  with traces on (into an empty trace store) vs off (``REPRO_TRACE``),
+  tracking the record-once/replay-many win;
 * **telemetry overhead** (DESIGN.md §11): the same live point with the
   flight recorder off vs on (``REPRO_OBS=1`` + default-period interval
   sampling) — results must stay bit-for-bit identical, and the relative
@@ -45,6 +45,7 @@ import json
 import pathlib
 import platform
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 
@@ -273,11 +274,12 @@ def measure_obs_overhead(benchmark: str = "m88ksim", *, scale: float,
 
 def measure_grid_trace(*, scale: float, warmup: int, jobs: int = 2,
                        repeats: int = 2) -> dict:
-    """Batch-amortized trace win: a redirect config x depth grid, cold.
+    """Record-once trace win: a redirect config x depth grid, cold.
 
-    The same plan runs through the batched scheduler with trace sharing
-    on (record once per batch, replay every point) and off (live core
-    per point); results must be identical, only the wall time differs.
+    The same plan runs through the batched scheduler with traces on
+    (record once per workload into an empty trace store, replay every
+    point) and off (live core per point); results must be identical,
+    only the wall time differs.
     The grid uses the harness scale directly — trace replay amortizes
     *simulation* work, so the points must be big enough to measure.
     """
@@ -293,7 +295,8 @@ def measure_grid_trace(*, scale: float, warmup: int, jobs: int = 2,
     outcomes: dict[str, dict] = {}
     for _ in range(max(1, repeats)):
         for mode in ("1", "0"):
-            with env_override({"REPRO_TRACE": mode}):
+            with tempfile.TemporaryDirectory() as traces, env_override(
+                    {"REPRO_TRACE": mode, "REPRO_TRACE_DIR": traces}):
                 start = time.perf_counter()
                 outcomes[mode] = run_plan(plan, jobs=jobs, use_cache=False)
                 elapsed = time.perf_counter() - start

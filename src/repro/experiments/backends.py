@@ -46,7 +46,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
@@ -245,7 +244,11 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
             lower_ticked = False
             for index, point in enumerate(points):
                 info: dict = {"phase_seconds": {}}
-                point_trace = traces.get(point, info["phase_seconds"])
+                try:
+                    point_trace = traces.get(point, info["phase_seconds"])
+                except Exception as exc:  # noqa: BLE001 - per point
+                    entries.append(("error", _relayable_exception(exc)))
+                    continue
                 if (not lower_ticked and ticker is not None
                         and _maybe_prelower(point, point_trace,
                                             info["phase_seconds"])):
@@ -388,7 +391,12 @@ class SerialBackend(ExecutionBackend):
                 lower_ticked = False
                 for index, point in enumerate(group):
                     info: dict = {"phase_seconds": {}}
-                    point_trace = traces.get(point, info["phase_seconds"])
+                    try:
+                        point_trace = traces.get(point,
+                                                 info["phase_seconds"])
+                    except Exception as exc:  # noqa: BLE001 - per point
+                        report.fail(batch_id, index, exc)
+                        continue
                     if not lower_ticked and _maybe_prelower(
                             point, point_trace, info["phase_seconds"]):
                         lower_ticked = True
@@ -609,28 +617,24 @@ class QueueBackend(ExecutionBackend):
 
     @staticmethod
     def _trace_blobs(batches: Batches) -> dict[tuple, bytes]:
-        """Serialized committed traces, one per shippable workload identity.
+        """Serialized committed traces, one per redirect workload identity.
 
-        Mirrors the :class:`~repro.experiments.tracing.SharedTraces`
-        policy: a trace is recorded (once, parent-side) when at least
-        two ``redirect`` points of the same (benchmark, scale, seed)
-        will amortize it, or the persistent disk store is on.  A
-        workload that fails to record (e.g. an unknown benchmark) ships
-        nothing — the workers will surface the same failure per point.
+        Mirrors :class:`~repro.experiments.tracing.SharedTraces`: unless
+        ``REPRO_TRACE=0``, each identity's trace comes from the store
+        (or is recorded, once, parent-side, and persisted).  A workload
+        that fails to record (e.g. an unknown benchmark) ships nothing —
+        the workers will surface the same failure per point.
         """
         from repro.experiments.tracing import load_or_record
 
-        mode = Settings.from_env().trace
-        if mode == "off":
+        if Settings.from_env().trace == "off":
             return {}
-        counts = Counter(
+        identities = dict.fromkeys(
             (point.benchmark, point.scale, point.seed)
             for group in batches.values() for point in group
             if point.speculation == "redirect")
         blobs: dict[tuple, bytes] = {}
-        for identity, count in counts.items():
-            if count < 2 and mode != "disk":
-                continue
+        for identity in identities:
             try:
                 blobs[identity] = load_or_record(*identity).to_bytes()
             except Exception:  # noqa: BLE001 - workers report it per point

@@ -77,9 +77,9 @@ def execute_point(point: ExperimentPoint, *,
     * a :class:`~repro.pipeline.trace.CommittedTrace` — replay it
       instead of re-interpreting the program (how the scheduler shares
       one recording across a batch);
-    * ``None`` (default) — honour the environment: under
-      ``REPRO_TRACE=disk`` the persistent trace store supplies (or
-      records) the trace, otherwise run the live core;
+    * ``None`` (default) — honour the environment: unless
+      ``REPRO_TRACE=0``, the persistent trace store supplies (or
+      records) the trace; with it off, run the live core;
     * ``False`` — force the live functional core regardless of the
       environment (the perf harness measures the live path this way).
 
@@ -137,7 +137,7 @@ def _execute_phases(point: ExperimentPoint,
 
     settings = Settings.from_env()
     if point.speculation == "redirect" and trace is not False:
-        if trace is None and settings.trace == "disk":
+        if trace is None and settings.trace == "on":
             trace = load_or_record(point.benchmark, point.scale, point.seed,
                                    phase_seconds=phase_seconds)
         if trace is not None:

@@ -28,11 +28,12 @@ once (:class:`repro.settings.Settings`) and records them as a
 
 **Trace sharing** (``REPRO_TRACE``, default on; DESIGN.md §8): within a
 batch — and across a serial sweep — the ``redirect`` points of one
-workload identity share a single recorded committed-instruction trace
-(:mod:`repro.experiments.tracing`); the queue backend additionally
-*ships* the serialized trace inside each job, so a whole cluster shares
-one functional run per workload.  ``wrongpath`` points keep the live
-core.
+workload identity share a single committed-instruction trace, read from
+the persistent trace store or recorded once into it
+(:mod:`repro.experiments.tracing`), so later plans record nothing; the
+queue backend additionally *ships* the serialized trace inside each
+job, so a whole cluster shares one functional run per workload.
+``wrongpath`` points keep the live core.
 
 Determinism: every point is an independent, fully seeded simulation, and
 every result — computed serially, in a pool worker, on a queue worker,

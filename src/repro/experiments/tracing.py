@@ -5,25 +5,25 @@ live in :mod:`repro.pipeline.trace`; this module decides *when* the
 experiment service uses them and where recorded traces persist:
 
 * ``REPRO_TRACE`` (:attr:`repro.settings.Settings.trace`) — the one
-  switch between the two execution paths: ``"memory"`` (default)
-  shares one in-memory recording across the redirect points of a
-  worker batch or serial sweep, each replayed through the compiled
-  kernel (:mod:`repro.pipeline.kernel`); ``"disk"`` additionally persists
-  traces so *cold single points* (and later processes) skip
-  re-interpretation; ``"0"`` runs every point on the live engine.
+  switch between the two execution paths: ``"on"`` (default) gives
+  every redirect point a committed trace, read from the store or
+  recorded once and persisted there, and replays it through the
+  compiled kernel (:mod:`repro.pipeline.kernel`); ``"off"`` runs every
+  point on the live engine.
 * :class:`TraceStore` — content-addressed ``*.trace`` files next to the
   result cache (``benchmarks/results/traces/``, relocate with
   ``REPRO_TRACE_DIR``).  Keys include the same package source
   fingerprint the result cache uses (:func:`~repro.experiments.plan.
   code_fingerprint`), so editing the simulator or a workload strands
   stale traces under dead keys instead of replaying them; corrupted or
-  truncated files are misses that trigger re-recording, never errors.
-* :class:`SharedTraces` — the per-batch/per-sweep pool.  Recording costs
-  one functional run, so a trace is only recorded when it will amortize:
-  at least two redirect points of the same workload identity
-  (benchmark, scale, seed), or the disk store is on (the recording
-  persists for future runs).  Wrong-path points always keep the live
-  core — wrong-path synthesis reads live architectural state.
+  truncated files are misses that trigger re-recording, and a failed
+  write only costs the next process a recording — never an error.
+* :class:`SharedTraces` — the per-batch/per-sweep pool.  Each workload
+  identity (benchmark, scale, seed) is fetched from the store (or
+  recorded) at most once per batch, so every later ``run_plan`` — and
+  every worker of it — reads the trace instead of re-running the
+  functional core.  Wrong-path points always keep the live core —
+  wrong-path synthesis reads live architectural state.
 
 Changing this module never changes a simulation outcome (replay is
 bit-for-bit, enforced by the equality suite), so like the rest of the
@@ -53,7 +53,7 @@ TRACE_KEY_SCHEMA_VERSION = 1
 
 
 def trace_mode() -> str:
-    """``REPRO_TRACE`` -> "off" | "memory" | "disk" (default "memory").
+    """``REPRO_TRACE`` -> "on" | "off" (default "on").
 
     Kept only because the benchmark harness records it.
     """
@@ -66,7 +66,7 @@ def kernel_mode() -> bool:
     Kept only because the benchmark harness records it; it is
     ``REPRO_TRACE`` != off, not a knob of its own.
     """
-    return trace_mode() != "off"
+    return trace_mode() == "on"
 
 
 def spec_mode() -> bool:
@@ -106,6 +106,7 @@ class TraceStore:
             else Settings.from_env().trace_dir
         self.hits = 0
         self.misses = 0
+        self.put_failed = 0
 
     def _path(self, key: str) -> pathlib.Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
@@ -171,34 +172,39 @@ def load_or_record(benchmark: str, scale: float, seed: int,
                    store: TraceStore | None = None,
                    phase_seconds: dict[str, float] | None = None,
                    ) -> CommittedTrace:
-    """Produce a workload's committed trace, via the disk store if on.
+    """A workload's committed trace: from the store, else recorded.
 
-    A stored trace that fails validation against the freshly built
+    ``store=None`` uses the default store (``REPRO_TRACE_DIR``).  A
+    stored trace that fails validation against the freshly built
     program (a key collision or hand-copied file) is re-recorded and
-    overwritten, mirroring the result cache's corrupt-entry policy.
-    A recording run adds its wall time to ``phase_seconds["record"]``.
+    overwritten, mirroring the result cache's corrupt-entry policy.  The
+    store is a cache: a write that fails (read-only checkout, a file
+    where the directory should be) is counted in
+    ``trace_store.put_failed`` and the recorded trace is returned.  A
+    recording run adds its wall time to ``phase_seconds["record"]``.
     """
     program = get_program(benchmark, scale=scale, seed=seed)
-    if store is None and Settings.from_env().trace == "disk":
+    if store is None:
         store = default_trace_store()
-    key = None
-    if store is not None:
-        key = trace_key(benchmark, scale, seed, max_instructions)
-        trace = store.get(key)
-        if trace is not None:
-            try:
-                trace.validate_for(program)
-                return trace
-            except TraceError:
-                pass  # stale under this key: re-record below
+    key = trace_key(benchmark, scale, seed, max_instructions)
+    trace = store.get(key)
+    if trace is not None:
+        try:
+            trace.validate_for(program)
+            return trace
+        except TraceError:
+            pass  # stale under this key: re-record below
     started = time.perf_counter()
     with obs.span("record", kind="phase", attrs={
             "phase": "record", "benchmark": benchmark}):
         trace = TraceRecorder(program).record(max_instructions)
     if phase_seconds is not None:
         phase_seconds["record"] = time.perf_counter() - started
-    if store is not None:
+    try:
         store.put(key, trace)
+    except OSError:
+        store.put_failed += 1
+        obs.inc("trace_store.put_failed")
     return trace
 
 
@@ -211,13 +217,13 @@ class SharedTraces:
 
     ``get`` returns the trace an :func:`~repro.experiments.runner.
     execute_point` call should replay, or None for a live run.  A trace
-    is recorded at most once per workload identity and dropped from the
-    pool as soon as its last consumer has fetched it, bounding memory
-    across long serial sweeps.
+    is fetched (see :func:`load_or_record`) at most once per workload
+    identity and dropped from the pool as soon as its last consumer has
+    fetched it, bounding memory across long serial sweeps.
     """
 
     def __init__(self, points) -> None:
-        self._mode = Settings.from_env().trace
+        self._on = Settings.from_env().trace == "on"
         self._remaining = Counter(
             _workload_key(point) for point in points
             if point.speculation == "redirect")
@@ -227,23 +233,20 @@ class SharedTraces:
             phase_seconds: dict[str, float] | None = None,
             ) -> CommittedTrace | None:
         """The trace for ``point``; a recording it triggers is timed into
-        ``phase_seconds["record"]`` (the consuming point's phases)."""
-        if self._mode == "off" or point.speculation != "redirect":
+        ``phase_seconds["record"]`` (the consuming point's phases).
+
+        A workload that cannot be built raises here, so callers acquire
+        the trace inside the point's own error handling.
+        """
+        if not self._on or point.speculation != "redirect":
             return None
         key = _workload_key(point)
         remaining = self._remaining[key]
         self._remaining[key] = remaining - 1
-        trace = self._traces.get(key)
-        if trace is not None:
-            if remaining <= 1:
-                del self._traces[key]
-            return trace
-        if self._mode != "disk" and remaining < 2:
-            # Recording costs a functional run; with nothing to amortize
-            # against (and no store to persist into), live wins.
-            return None
-        trace = load_or_record(point.benchmark, point.scale, point.seed,
-                               phase_seconds=phase_seconds)
+        trace = self._traces.pop(key, None)
+        if trace is None:
+            trace = load_or_record(point.benchmark, point.scale, point.seed,
+                                   phase_seconds=phase_seconds)
         if remaining > 1:
             self._traces[key] = trace
         return trace

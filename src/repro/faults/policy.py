@@ -108,18 +108,21 @@ class RetryPolicy:
 
 
 def _in_interpreter_callback(frame) -> bool:
-    """Whether ``frame`` runs inside a gc callback or the unraisable hook.
+    """Whether ``frame`` runs inside a gc callback, a finalizer or the
+    unraisable hook.
 
     The interpreter calls these from C and swallows what they raise (a
-    gc callback's exception goes to ``sys.unraisablehook``; one raised
-    in a Python unraisable hook breaks the hook itself), so a deadline
-    raised there would never reach the point.
+    gc callback's or a ``__del__``'s exception goes to
+    ``sys.unraisablehook``; one raised in a Python unraisable hook breaks
+    the hook itself), so a deadline raised there would never reach the
+    point.
     """
     hooks = (*gc.callbacks, sys.unraisablehook)
     codes = {getattr(getattr(hook, "func", hook), "__code__", None)
              for hook in hooks}
     while frame is not None:
-        if frame.f_code in codes:
+        code = frame.f_code
+        if code in codes or code.co_name == "__del__":
             return True
         frame = frame.f_back
     return False

@@ -281,8 +281,7 @@ class PipelineEngine:
         sample_record = sampler.record if sampler is not None else None
         next_sample = sampler.first_threshold if sampler is not None else 0
         ddt_obj = self.ddt
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         sync_spec = self.recovery is not None
 
         rob = self.rob
@@ -403,21 +402,21 @@ class PipelineEngine:
                 fu = d.fu_class
                 if fu == FU_ALU:
                     # Register/immediate ALU ops and conditional branches.
-                    server_free = heappop(alu_free)
+                    server_free = alu_free[0]
                     issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
+                    heapreplace(alu_free, issue + 1)
                     alu_ops += 1
                     complete = issue + alu_latency
                 elif fu == FU_LOAD:
                     # Address generation on an ALU, then the D-cache access.
-                    server_free = heappop(alu_free)
+                    server_free = alu_free[0]
                     issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
+                    heapreplace(alu_free, issue + 1)
                     alu_ops += 1
                     agen1 = issue + 1
-                    server_free = heappop(dcache_free)
+                    server_free = dcache_free[0]
                     access = agen1 if agen1 >= server_free else server_free
-                    heappush(dcache_free, access + 1)
+                    heapreplace(dcache_free, access + 1)
                     dcache_ops += 1
                     addr = dyn.addr
                     word = addr & ~3 if addr is not None else 0
@@ -433,9 +432,9 @@ class PipelineEngine:
                 elif fu == FU_STORE:
                     # Address + data staged into the LSQ; memory written
                     # at commit.
-                    server_free = heappop(alu_free)
+                    server_free = alu_free[0]
                     issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
+                    heapreplace(alu_free, issue + 1)
                     alu_ops += 1
                     complete = issue + 1
                 elif fu == FU_MULT:
@@ -447,9 +446,9 @@ class PipelineEngine:
                 else:
                     # Jumps, NOP, HALT: resolved in the frontend/ALU in
                     # one cycle.
-                    server_free = heappop(alu_free)
+                    server_free = alu_free[0]
                     issue = ready if ready >= server_free else server_free
-                    heappush(alu_free, issue + 1)
+                    heapreplace(alu_free, issue + 1)
                     alu_ops += 1
                     complete = issue + 1
 

@@ -29,9 +29,9 @@ class FunctionalUnitPool:
 
     def issue(self, earliest: int, occupancy: int = 1) -> int:
         """Claim a server; returns the actual start cycle (>= earliest)."""
-        server_free = heapq.heappop(self._free_at)
+        server_free = self._free_at[0]
         start = earliest if earliest >= server_free else server_free
-        heapq.heappush(self._free_at, start + occupancy)
+        heapq.heapreplace(self._free_at, start + occupancy)
         self.operations += 1
         self.busy_cycles += occupancy
         return start

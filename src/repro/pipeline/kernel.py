@@ -21,9 +21,10 @@ by every redirect timing point of a batch:
 * ROB/LSQ occupancy metadata (memory-op stream positions, so the
   occupancy heads are plain array lookups per config),
 * prefix sums for the measured-window load/store statistics, the RAS
-  accuracy stream, and per-predictor-kind branch decision streams (the
-  two-level gskew interplay is timing-independent, so its outcome
-  sequence is simulated once and shared across every config).
+  accuracy stream, and the branch decision streams (the level-1 gskew,
+  the level-2 hybrid and the ARVI confidence estimator are
+  timing-independent, so each is simulated once per trace and shared
+  across every config; the level-1 stream feeds all the others).
 
 :func:`kernel_run` then evaluates one timing configuration as a lean
 array pass over the lowered form: the same fetch/issue/commit arithmetic
@@ -55,7 +56,7 @@ increments the ``kernel_fallback_total`` counter with its reason.
 from __future__ import annotations
 
 from bisect import bisect_left
-from heapq import heappop, heappush
+from heapq import heapreplace
 
 from repro.core.arvi import ARVIConfig, ValueMode
 from repro.core.bvit import BVIT
@@ -126,25 +127,44 @@ class KernelUnsupported(RuntimeError):
     live engine (never silently diverge)."""
 
 
+def _level1_stream(bpcs: list[int], btaken: list[bool]) -> list[bool]:
+    """The level-1 gskew's prediction for every branch of the stream.
+
+    Every configuration puts the same 4 KB 2Bc-gskew at level 1, trained
+    on nothing but the committed (pc, taken) sequence, each branch's
+    predict immediately followed by its own train — so one pass serves
+    every level-2 kind and every timing configuration of a trace.
+    """
+    level1 = level1_gskew()
+    predict = level1.predict
+    update = level1.update
+    predictions: list[bool] = []
+    append = predictions.append
+    for pc, taken in zip(bpcs, btaken):
+        append(predict(pc))
+        update(pc, taken)
+    return predictions
+
+
 class _BranchStreams:
     """Per-predictor-kind branch decision streams and stat prefix sums.
 
     The two-level hybrid's decisions depend only on the (pc, taken)
     branch sequence — never on cycle timing — so one pass over the
-    recorded outcomes yields, for every branch *j* of the stream:
-    whether the final prediction was wrong (``bad``, a redirect), and
-    whether level 2 overrode level 1 (``override``, a fetch bubble on a
-    correct final prediction).  The cumulative arrays turn the engine's
-    measured-window branch statistics into prefix-sum differences.
+    recorded outcomes and the shared level-1 stream yields, for every
+    branch *j* of the stream: whether the final prediction was wrong
+    (``bad``, a redirect), and whether level 2 overrode level 1
+    (``override``, a fetch bubble on a correct final prediction).  The
+    cumulative arrays turn the engine's measured-window branch
+    statistics into prefix-sum differences.
     """
 
     __slots__ = ("bad", "override", "cum_final", "cum_l1", "cum_override",
                  "cum_helpful", "cum_harmful")
 
     def __init__(self, bpcs: list[int], btaken: list[bool],
-                 kind: LevelTwoKind) -> None:
+                 l1_stream: list[bool], kind: LevelTwoKind) -> None:
         hybrid = kind is LevelTwoKind.HYBRID
-        level1 = level1_gskew()
         level2 = level2_gskew() if hybrid else None
         bad: list[bool] = []
         override: list[bool] = []
@@ -153,12 +173,12 @@ class _BranchStreams:
         cov = [0]
         chp = [0]
         chm = [0]
-        for pc, taken in zip(bpcs, btaken):
-            l1_pred = level1.predict(pc)
+        for pc, taken, l1_pred in zip(bpcs, btaken, l1_stream):
             if hybrid:
                 l2_pred = level2.predict(pc)
                 used = l2_pred != l1_pred
                 final = l2_pred if used else l1_pred
+                level2.update(pc, taken)
             else:
                 used = False
                 final = l1_pred
@@ -171,9 +191,6 @@ class _BranchStreams:
             cov.append(cov[-1] + used)
             chp.append(chp[-1] + (used and final_correct and not l1_correct))
             chm.append(chm[-1] + (used and l1_correct and not final_correct))
-            level1.update(pc, taken)
-            if hybrid:
-                level2.update(pc, taken)
         self.bad = bad
         self.override = override
         self.cum_final = cf
@@ -183,39 +200,28 @@ class _BranchStreams:
         self.cum_harmful = chm
 
 
-class _ARVIPreStreams:
-    """Timing-independent per-branch ARVI inputs, shared across configs.
+def _confidence_stream(bpcs: list[int], btaken: list[bool],
+                       l1_stream: list[bool]) -> list[bool]:
+    """The ARVI configurations' confidence verdict for every branch.
 
-    The level-1 gskew prediction and the confidence verdict consume
-    nothing but the committed (pc, taken) branch sequence, and each
-    branch's predict immediately precedes its own train in program
-    order (no other instruction touches either structure).  The BVIT
-    side is *not* precomputable — its lookup keys read which chain
-    members have retired and when loads could have been hoisted, which
-    differ per machine configuration — so :func:`kernel_run` replays it
-    per config in the ARVI pass while reusing these streams (and the
-    chain masks of :meth:`LoweredTrace.arvi_chains`).
+    Like the level-1 prediction it consumes nothing but the committed
+    branch sequence (and whether level 1 was right), so it is shared by
+    every ARVI configuration of a trace.  The BVIT side is *not*
+    precomputable — its lookup keys read which chain members have
+    retired and when loads could have been hoisted, which differ per
+    machine configuration — so :func:`kernel_run` replays it per config
+    in the ARVI pass (with the chain masks of
+    :meth:`LoweredTrace.arvi_chains`).
     """
-
-    __slots__ = ("l1_pred", "confident")
-
-    def __init__(self, bpcs: list[int], btaken: list[bool]) -> None:
-        level1 = level1_gskew()
-        confidence = ConfidenceEstimator()
-        l1_predict = level1.predict
-        l1_update = level1.update
-        is_confident = confidence.is_confident
-        conf_update = confidence.update
-        l1_pred: list[bool] = []
-        confident: list[bool] = []
-        for pc, taken in zip(bpcs, btaken):
-            l1 = l1_predict(pc)
-            l1_pred.append(l1)
-            confident.append(is_confident(pc))
-            l1_update(pc, taken)
-            conf_update(pc, l1 == taken, taken)
-        self.l1_pred = l1_pred
-        self.confident = confident
+    confidence = ConfidenceEstimator()
+    is_confident = confidence.is_confident
+    update = confidence.update
+    verdicts: list[bool] = []
+    append = verdicts.append
+    for pc, taken, l1_pred in zip(bpcs, btaken, l1_stream):
+        append(is_confident(pc))
+        update(pc, l1_pred == taken, taken)
+    return verdicts
 
 
 class LoweredTrace:
@@ -228,7 +234,8 @@ class LoweredTrace:
         "load_prefix", "store_prefix",
         "branch_pos", "branch_pcs", "branch_taken",
         "jr_pos", "jr_correct_cum", "_hasres",
-        "_codes", "_streams", "_values", "_arvi_pre", "_chains",
+        "_codes", "_level1", "_streams", "_values", "_confident",
+        "_chains",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -249,6 +256,14 @@ class LoweredTrace:
         self._codes[line_mask] = codes
         return codes
 
+    def level1_stream(self) -> list[bool]:
+        """The shared level-1 prediction per branch (cached)."""
+        level1 = self._level1
+        if level1 is None:
+            level1 = _level1_stream(self.branch_pcs, self.branch_taken)
+            self._level1 = level1
+        return level1
+
     def streams_for(self, kind: LevelTwoKind) -> _BranchStreams:
         """Branch decision streams for one level-2 kind (cached)."""
         streams = self._streams.get(kind)
@@ -259,7 +274,7 @@ class LoweredTrace:
                     f"{kind.value!r} has no precomputable decision stream "
                     "(its decisions read live DDT/timing state)")
             streams = _BranchStreams(self.branch_pcs, self.branch_taken,
-                                     kind)
+                                     self.level1_stream(), kind)
             self._streams[kind] = streams
         return streams
 
@@ -296,13 +311,14 @@ class LoweredTrace:
         self._values = vals
         return vals
 
-    def arvi_prestreams(self) -> _ARVIPreStreams:
-        """Shared level-1/confidence streams for the ARVI pass (cached)."""
-        pre = self._arvi_pre
-        if pre is None:
-            pre = _ARVIPreStreams(self.branch_pcs, self.branch_taken)
-            self._arvi_pre = pre
-        return pre
+    def confidence_stream(self) -> list[bool]:
+        """The shared ARVI confidence verdict per branch (cached)."""
+        confident = self._confident
+        if confident is None:
+            confident = _confidence_stream(
+                self.branch_pcs, self.branch_taken, self.level1_stream())
+            self._confident = confident
+        return confident
 
     def arvi_chains(self, rob_entries: int) -> list[int]:
         """Per-branch register-dependence ancestors in a ROB window (cached).
@@ -358,9 +374,10 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered.pcs = pcs_list
     lowered._hasres = hasres_tab
     lowered._codes = {}
+    lowered._level1 = None
     lowered._streams = {}
     lowered._values = None
-    lowered._arvi_pre = None
+    lowered._confident = None
     lowered._chains = {}
 
     kclass = [cls_tab[pc] for pc in pcs_list]
@@ -622,18 +639,18 @@ def kernel_run(program: Program, trace: CommittedTrace,
             if when > ready:
                 ready = when
         if k == K_ALU or k == K_BRANCH:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + alu_latency
         elif k == K_LOAD:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             agen1 = issue + 1
-            server_free = heappop(dcache_free)
+            server_free = dcache_free[0]
             access = agen1 if agen1 >= server_free else server_free
-            heappush(dcache_free, access + 1)
+            heapreplace(dcache_free, access + 1)
             source = store_dep[mem_i]
             if source >= 0 and commit_arr[source] > access:
                 data_ready = complete_arr[source]
@@ -643,33 +660,33 @@ def kernel_run(program: Program, trace: CommittedTrace,
                 complete = access + mem_dlat(mem_addr[mem_i])
             mem_i += 1
         elif k == K_STORE:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + 1
             mem_i += 1
         elif k == K_OTHER:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + 1
         elif k == K_MULT:
             if muldiv_scalar:
                 issue = ready if ready >= muldiv_free else muldiv_free
                 muldiv_free = issue + 1
             else:
-                server_free = heappop(muldiv_heap)
+                server_free = muldiv_heap[0]
                 issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + 1)
+                heapreplace(muldiv_heap, issue + 1)
             complete = issue + mult_latency
         else:  # K_DIV (unpipelined)
             if muldiv_scalar:
                 issue = ready if ready >= muldiv_free else muldiv_free
                 muldiv_free = issue + div_latency
             else:
-                server_free = heappop(muldiv_heap)
+                server_free = muldiv_heap[0]
                 issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + div_latency)
+                heapreplace(muldiv_heap, issue + div_latency)
             complete = issue + div_latency
 
         # ---- commit -------------------------------------------------------
@@ -785,7 +802,9 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     nor the DDT can run out in redirect mode.
 
     The level-1 prediction and the confidence verdict are
-    timing-independent and come from the shared :class:`_ARVIPreStreams`;
+    timing-independent and come from the trace's shared streams
+    (:meth:`LoweredTrace.level1_stream`, :meth:`LoweredTrace.
+    confidence_stream`);
     the BVIT runs live (fresh table per config, as the engine builds a
     fresh predictor).  The full ARVI decision stream is **not**
     timing-independent — the cut ``h`` and the hoist times depend on
@@ -794,7 +813,6 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     """
     _cls, _src1, _src2, wr_tab, _ras, _hr = \
         program.decoded().static_columns()
-    pre = lowered.arvi_prestreams()
     chains = lowered.arvi_chains(config.rob_entries)
     acfg = arvi_config or ARVIConfig()
     memory = MemoryHierarchy(config)
@@ -820,8 +838,8 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     store_dep = lowered.store_dep
     values = lowered.values()
     branch_taken = lowered.branch_taken
-    l1_stream = pre.l1_pred
-    conf_stream = pre.confident
+    l1_stream = lowered.level1_stream()
+    conf_stream = lowered.confidence_stream()
     mem_ilat = memory.instruction_latency
     mem_dlat = memory.data_latency
     icache_hit_latency = config.icache.hit_latency
@@ -979,18 +997,18 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
         if operands > ready:
             ready = operands
         if k == K_ALU or k == K_BRANCH:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + alu_latency
         elif k == K_LOAD:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             agen1 = issue + 1
-            server_free = heappop(dcache_free)
+            server_free = dcache_free[0]
             access = agen1 if agen1 >= server_free else server_free
-            heappush(dcache_free, access + 1)
+            heapreplace(dcache_free, access + 1)
             source = store_dep[mem_i]
             if source >= 0 and commit_arr[source] > access:
                 data_ready = complete_arr[source]
@@ -1007,33 +1025,33 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                 hoist[i] = hoist_start + (complete - issue)
             mem_i += 1
         elif k == K_STORE:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + 1
             mem_i += 1
         elif k == K_OTHER:
-            server_free = heappop(alu_free)
+            server_free = alu_free[0]
             issue = ready if ready >= server_free else server_free
-            heappush(alu_free, issue + 1)
+            heapreplace(alu_free, issue + 1)
             complete = issue + 1
         elif k == K_MULT:
             if muldiv_scalar:
                 issue = ready if ready >= muldiv_free else muldiv_free
                 muldiv_free = issue + 1
             else:
-                server_free = heappop(muldiv_heap)
+                server_free = muldiv_heap[0]
                 issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + 1)
+                heapreplace(muldiv_heap, issue + 1)
             complete = issue + mult_latency
         else:  # K_DIV (unpipelined)
             if muldiv_scalar:
                 issue = ready if ready >= muldiv_free else muldiv_free
                 muldiv_free = issue + div_latency
             else:
-                server_free = heappop(muldiv_heap)
+                server_free = muldiv_heap[0]
                 issue = ready if ready >= server_free else server_free
-                heappush(muldiv_heap, issue + div_latency)
+                heapreplace(muldiv_heap, issue + div_latency)
             complete = issue + div_latency
 
         # ---- commit -------------------------------------------------------

@@ -25,25 +25,31 @@ class ConfidenceEstimator:
         self.history = GlobalHistory(history_bits)
         self.queries = 0
         self.confident_queries = 0
-
-    def _index(self, pc: int) -> int:
-        return pc ^ self.history.value
+        # The hot paths index the counter list directly.
+        self._counters = self.table._counters
+        self._entries = entries
+        self._maximum = self.table.maximum
+        self._history_mask = (1 << history_bits) - 1
 
     def is_confident(self, pc: int) -> bool:
         """Is the level-1 prediction for this branch trustworthy?"""
         self.queries += 1
-        confident = self.table[self._index(pc)] >= self.threshold
-        if confident:
+        if self._counters[(pc ^ self.history.value) % self._entries] \
+                >= self.threshold:
             self.confident_queries += 1
-        return confident
+            return True
+        return False
 
     def update(self, pc: int, level1_correct: bool, taken: bool) -> None:
-        index = self._index(pc)
+        history = self.history
+        slot = (pc ^ history.value) % self._entries
         if level1_correct:
-            self.table.nudge(index, up=True)
+            value = self._counters[slot]
+            if value < self._maximum:
+                self._counters[slot] = value + 1
         else:
-            self.table.reset(index)
-        self.history.push(taken)
+            self._counters[slot] = 0
+        history.value = ((history.value << 1) | taken) & self._history_mask
 
     def history_state(self) -> int:
         """Checkpoint of the history register (branch-recovery support)."""

@@ -26,16 +26,21 @@ from repro.predictors.base import (
 )
 
 _HISTORY_REG_BITS = 32
+_HISTORY_MASK = (1 << _HISTORY_REG_BITS) - 1
 
-
-def _rotate(value: int, amount: int, bits: int) -> int:
-    amount %= bits
-    mask = (1 << bits) - 1
-    return ((value << amount) | (value >> (bits - amount))) & mask
+#: A 2-bit counter strengthened toward taken / not taken, by old value.
+_TOWARD_TAKEN = (1, 2, 3, 3)
+_TOWARD_NOT_TAKEN = (0, 0, 1, 2)
 
 
 class TwoBcGskew(BranchPredictor):
-    """The 2Bc-gskew hybrid; ``bank_entries`` counters per bank."""
+    """The 2Bc-gskew hybrid; ``bank_entries`` counters per bank.
+
+    The hot paths read and write the banks' counter lists directly (a
+    2-bit counter predicts taken at 2 or more) and inline the skewing
+    hashes; ``tests/predictors/test_predictor_oracle.py`` holds them
+    equal to the table-object formulation.
+    """
 
     def __init__(self, bank_entries: int = 4096,
                  g0_history: int | None = None,
@@ -55,43 +60,54 @@ class TwoBcGskew(BranchPredictor):
         self.g1_history = g1_history if g1_history is not None else min(
             _HISTORY_REG_BITS, index_bits + 4)
         self.history = GlobalHistory(_HISTORY_REG_BITS)
-        # Precomputed index-hash constants (the hot path computes these
-        # four indices twice per branch: once to predict, once to train).
+        self._bim = self.bim._counters
+        self._g0 = self.g0._counters
+        self._g1 = self.g1._counters
+        self._meta = self.meta._counters
+        # Index-hash constants: bank G<v> rotates its folded history by
+        # (3v + 1) mod index_bits and mixes in pc >> (index_bits - v).
         self._index_mask = (1 << index_bits) - 1
         self._g0_hist_mask = (1 << self.g0_history) - 1
         self._g1_hist_mask = (1 << self.g1_history) - 1
+        self._g0_rot = 4 % max(index_bits, 1)
+        self._g1_rot = 7 % max(index_bits, 1)
         # Memoized indices for the predict->train pair: the engine trains
         # each branch with the same (pc, history) it predicted with, so
         # the second computation is a pure replay.
-        self._indices_key: tuple[int, int] | None = None
-        self._indices_value: tuple[int, int, int, int] = (0, 0, 0, 0)
+        self._memo_pc = -1
+        self._memo_hist = -1
+        self._memo: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     # -- indexing -------------------------------------------------------------
 
-    def _skew_index(self, pc: int, hist_mask: int, variant: int) -> int:
-        """Per-bank skewing hash over (PC, history & hist_mask)."""
+    def _indices(self, pc: int) -> tuple[int, int, int, int]:
+        """(bim, g0, g1, meta) indices of ``pc`` under the current history.
+
+        G0/G1 fold their history slice down to ``index_bits`` by XOR,
+        rotate it, and XOR it with the pc and a per-bank pc shift.
+        """
+        hist = self.history.value
+        if pc == self._memo_pc and hist == self._memo_hist:
+            return self._memo
         bits = self.index_bits
         mask = self._index_mask
-        folded = self.history.value & hist_mask
+        folded = hist & self._g0_hist_mask
         while folded >> bits:
             folded = (folded & mask) ^ (folded >> bits)
-        skew = _rotate(folded, variant * 3 + 1, bits)
-        return (pc ^ skew ^ (pc >> (bits - variant))) & mask
-
-    def _indices(self, pc: int) -> tuple[int, int, int, int]:
-        hist = self.history.value
-        key = (pc, hist)
-        if key == self._indices_key:
-            return self._indices_value
-        mask = self._index_mask
-        value = (
-            pc & mask,
-            self._skew_index(pc, self._g0_hist_mask, 1),
-            self._skew_index(pc, self._g1_hist_mask, 2),
-            (pc ^ ((hist & self._g0_hist_mask) << 1)) & mask,
-        )
-        self._indices_key = key
-        self._indices_value = value
+        rot = self._g0_rot
+        g0 = (pc ^ (folded << rot) ^ (folded >> (bits - rot))
+              ^ (pc >> (bits - 1))) & mask
+        folded = hist & self._g1_hist_mask
+        while folded >> bits:
+            folded = (folded & mask) ^ (folded >> bits)
+        rot = self._g1_rot
+        g1 = (pc ^ (folded << rot) ^ (folded >> (bits - rot))
+              ^ (pc >> (bits - 2))) & mask
+        value = (pc & mask, g0, g1,
+                 (pc ^ ((hist & self._g0_hist_mask) << 1)) & mask)
+        self._memo_pc = pc
+        self._memo_hist = hist
+        self._memo = value
         return value
 
     # -- prediction -------------------------------------------------------------
@@ -99,50 +115,63 @@ class TwoBcGskew(BranchPredictor):
     def component_predictions(self, pc: int) -> tuple[bool, bool, bool, bool]:
         """(bimodal, e-gskew majority, meta-prefers-eskew, final)."""
         bim_idx, g0_idx, g1_idx, meta_idx = self._indices(pc)
-        bim = self.bim.is_high(bim_idx)
-        g0 = self.g0.is_high(g0_idx)
-        g1 = self.g1.is_high(g1_idx)
-        eskew = (bim + g0 + g1) >= 2
-        use_eskew = self.meta.is_high(meta_idx)
-        final = eskew if use_eskew else bim
-        return bim, eskew, use_eskew, final
+        bim = self._bim[bim_idx] >= 2
+        eskew = (bim + (self._g0[g0_idx] >= 2)
+                 + (self._g1[g1_idx] >= 2)) >= 2
+        use_eskew = self._meta[meta_idx] >= 2
+        return bim, eskew, use_eskew, eskew if use_eskew else bim
 
     def predict(self, pc: int) -> bool:
-        return self.component_predictions(pc)[3]
+        bim_idx, g0_idx, g1_idx, meta_idx = self._indices(pc)
+        bim = self._bim[bim_idx] >= 2
+        if self._meta[meta_idx] >= 2:
+            return (bim + (self._g0[g0_idx] >= 2)
+                    + (self._g1[g1_idx] >= 2)) >= 2
+        return bim
 
     # -- update --------------------------------------------------------------------
 
     def update(self, pc: int, taken: bool) -> None:
         bim_idx, g0_idx, g1_idx, meta_idx = self._indices(pc)
-        bim = self.bim.is_high(bim_idx)
-        g0 = self.g0.is_high(g0_idx)
-        g1 = self.g1.is_high(g1_idx)
+        bim_bank = self._bim
+        g0_bank = self._g0
+        g1_bank = self._g1
+        bim_value = bim_bank[bim_idx]
+        g0_value = g0_bank[g0_idx]
+        g1_value = g1_bank[g1_idx]
+        bim = bim_value >= 2
+        g0 = g0_value >= 2
+        g1 = g1_value >= 2
         eskew = (bim + g0 + g1) >= 2
-        use_eskew = self.meta.is_high(meta_idx)
+        meta_value = self._meta[meta_idx]
+        use_eskew = meta_value >= 2
         final = eskew if use_eskew else bim
+        toward = _TOWARD_TAKEN if taken else _TOWARD_NOT_TAKEN
 
         if bim != eskew:
             # META trains toward whichever component was right.
-            self.meta.nudge(meta_idx, eskew == taken)
+            self._meta[meta_idx] = (_TOWARD_TAKEN if eskew == taken
+                                    else _TOWARD_NOT_TAKEN)[meta_value]
 
         if final == taken:
             if use_eskew:
                 # Partial update: strengthen only agreeing banks.
                 if bim == taken:
-                    self.bim.nudge(bim_idx, taken)
+                    bim_bank[bim_idx] = toward[bim_value]
                 if g0 == taken:
-                    self.g0.nudge(g0_idx, taken)
+                    g0_bank[g0_idx] = toward[g0_value]
                 if g1 == taken:
-                    self.g1.nudge(g1_idx, taken)
+                    g1_bank[g1_idx] = toward[g1_value]
             else:
-                self.bim.nudge(bim_idx, taken)
+                bim_bank[bim_idx] = toward[bim_value]
         else:
             # Misprediction: retrain all direction banks.
-            self.bim.nudge(bim_idx, taken)
-            self.g0.nudge(g0_idx, taken)
-            self.g1.nudge(g1_idx, taken)
+            bim_bank[bim_idx] = toward[bim_value]
+            g0_bank[g0_idx] = toward[g0_value]
+            g1_bank[g1_idx] = toward[g1_value]
 
-        self.history.push(taken)
+        history = self.history
+        history.value = ((history.value << 1) | taken) & _HISTORY_MASK
 
     # -- speculative history (wrong-path modelling) ---------------------------
 

@@ -33,11 +33,12 @@ from typing import Iterator, Mapping
 _ON = ("1", "true", "yes", "on")
 _OFF = ("0", "false", "no", "off")
 
-#: ``REPRO_TRACE`` modes, each with the spellings that select it.
+#: ``REPRO_TRACE`` modes, each with the spellings that select it.  There
+#: is one on-mode (traces persist in the store under ``REPRO_TRACE_DIR``);
+#: ``memory`` and ``disk`` name the two on-modes it replaced.
 TRACE_MODES = {
     "off": _OFF,
-    "memory": _ON + ("memory",),
-    "disk": ("disk",),
+    "on": _ON + ("memory", "disk"),
 }
 
 #: ``REPRO_BACKEND`` selectors; unset or ``auto`` picks serial for one
@@ -147,7 +148,7 @@ class Settings:
     jobs: int
     cache: bool
     cache_dir: pathlib.Path
-    #: "off" | "memory" | "disk".
+    #: "on" (record into and replay from the trace store) | "off".
     trace: str
     trace_dir: pathlib.Path
     #: A :data:`BACKEND_NAMES` entry, or None to pick by worker count.
@@ -197,7 +198,7 @@ class Settings:
             or os.cpu_count() or 1,
             cache=_flag("REPRO_CACHE", get("REPRO_CACHE"), True),
             cache_dir=path("REPRO_CACHE_DIR", "cache"),
-            trace=_choice("REPRO_TRACE", get("REPRO_TRACE"), "memory",
+            trace=_choice("REPRO_TRACE", get("REPRO_TRACE"), "on",
                           TRACE_MODES),
             trace_dir=path("REPRO_TRACE_DIR", "traces"),
             backend=_choice("REPRO_BACKEND", get("REPRO_BACKEND"), None,

@@ -170,7 +170,12 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
                     point_trace = trace \
                         if point.speculation == "redirect" else None
                 else:
-                    point_trace = shared.get(point, info["phase_seconds"])
+                    try:
+                        point_trace = shared.get(point,
+                                                 info["phase_seconds"])
+                    except Exception as exc:  # noqa: BLE001 - per point
+                        entries.append(["error", _describe_exception(exc)])
+                        continue
                     if point_trace is not None:
                         trace_source = "local"
                 if not lower_ticked and _maybe_prelower(

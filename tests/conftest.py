@@ -34,9 +34,10 @@ def isolated_result_cache(tmp_path_factory):
 def isolated_trace_store(tmp_path_factory):
     """Point the on-disk committed-trace store at a throwaway directory.
 
-    Disk mode is off by default (``REPRO_TRACE=1`` is in-memory only),
-    but any test that switches ``REPRO_TRACE=disk`` must never read or
-    mutate ``benchmarks/results/traces/``.
+    Traces persist by default (``REPRO_TRACE=1``), so the suite shares
+    one session store — a workload recorded by one test is read by the
+    next — and never reads or mutates ``benchmarks/results/traces/``.
+    A test that needs a fresh recording sets its own ``REPRO_TRACE_DIR``.
     """
     previous = os.environ.get("REPRO_TRACE_DIR")
     os.environ["REPRO_TRACE_DIR"] = str(

@@ -266,10 +266,15 @@ class TestLiveEqualsPosthoc:
 
     @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("local", 2)])
     def test_record_and_lower_reach_phase_seconds(self, serial_results,
-                                                  backend, jobs):
+                                                  backend, jobs, tmp_path,
+                                                  monkeypatch):
         """Recording (SharedTraces) and lowering (the batch's pre-lower)
         run outside execute_point; the point that consumes the fresh
-        trace carries their seconds, so the status view sees them."""
+        trace carries their seconds, so the status view sees them.  An
+        empty trace store makes the traces fresh (the session store
+        already holds them)."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         aggregator, results = live_aggregate(jobs=jobs, backend=backend)
         self.check(aggregator, results, serial_results)
         phases = aggregator.snapshot().views["status"]["phase_seconds"]

@@ -332,7 +332,9 @@ class TestQueueBackendEndToEnd:
         return run_plan(small_plan(), jobs=1, use_cache=False,
                         backend="serial")
 
-    def test_grid_matches_serial_and_ships_traces(self, serial_results):
+    def test_grid_matches_serial_and_ships_traces(self, serial_results,
+                                                  monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         backend = queue_backend()
         queued = run_plan(small_plan(), jobs=2, use_cache=False,
                           backend=backend)

@@ -426,6 +426,28 @@ class TestPointDeadline:
             gc.callbacks.remove(slow_callback)
         assert unraisable == []
 
+    def test_deadline_never_fires_inside_a_finalizer(self, monkeypatch):
+        """Likewise for a ``__del__`` the collector runs: what it raises
+        is swallowed as unraisable, so the deadline waits for the point's
+        own code (garbage left by earlier work, such as a subprocess
+        handle in a traceback cycle, is finalized inside ``gc.collect``)."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.02)              # the first alarm lands here
+
+        garbage = SlowFinalizer()
+        garbage.cycle = garbage
+        del garbage
+        with pytest.raises(PointTimeout):
+            with point_deadline(0.001):
+                gc.collect()
+                while True:
+                    pass
+        assert unraisable == []
+
     def test_noop_off_main_thread(self):
         outcome = []
 
@@ -622,6 +644,36 @@ class TestDeadletterQuarantine:
         assert entry["key"]
         assert entry["error"]["type"]
         assert "no-such-benchmark" in entry["error"]["message"]
+
+    @pytest.mark.parametrize("backend", ["serial", "local", "queue"])
+    def test_failed_trace_acquisition_fails_only_its_point(
+            self, tmp_path, monkeypatch, backend):
+        """A workload that cannot be built fails while its trace is
+        acquired; that is each of its points' own deterministic failure
+        (one deadletter entry per point, no retry), and the good points
+        of the grid still reach the cache."""
+        monkeypatch.setenv("REPRO_DEADLETTER_DIR", str(tmp_path / "dl"))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        store = ResultCache(tmp_path / "cache")
+        good, bad = ([ExperimentPoint(benchmark, configuration, 20,
+                                      scale=0.01, warmup=50)
+                      for configuration in ("baseline", "current")]
+                     for benchmark in ("li", "no-such-benchmark"))
+        engine = QueueBackend(workers=2, lease_timeout=10.0, poll=0.01,
+                              timeout=180.0) \
+            if backend == "queue" else backend
+        with pytest.raises(Exception, match="no-such-benchmark"):
+            run_points([good[0], bad[0], good[1], bad[1]], jobs=2,
+                       cache=store, backend=engine)
+        assert all(point_key(p) in store for p in good)
+        entries = DeadletterStore(tmp_path / "dl").entries()
+        assert sorted(entry["key"] for entry in entries) \
+            == sorted(point_key(p) for p in bad)
+        for entry in entries:
+            assert entry["point"]["benchmark"] == "no-such-benchmark"
+            assert "no-such-benchmark" in entry["error"]["message"]
+        if backend == "queue":
+            assert engine.requeues == 0
 
     def test_queue_poison_job_records_full_attempt_history(
             self, tmp_path, monkeypatch):

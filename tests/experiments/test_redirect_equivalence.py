@@ -5,7 +5,8 @@ equal to the seed engine: the speculation subsystem may add knobs and
 counters, but it must never silently drift the paper figures.  The golden
 file was generated by the *pre-subsystem* engine (PR 1 tree) over a small
 benchmark x configuration x depth grid; every field it records must match
-a fresh run exactly.  If a future change legitimately alters simulation
+a fresh run exactly, on both the compiled replay kernel and the live
+engine.  If a future change legitimately alters simulation
 outcomes, regenerate the goldens in the same PR and say so — this test
 exists to make that an explicit decision rather than an accident.
 """
@@ -16,7 +17,8 @@ import pathlib
 import pytest
 
 from repro.experiments.plan import ExperimentPoint, point_key
-from repro.experiments.runner import run_point, run_suite
+from repro.experiments.runner import execute_point, run_point, run_suite
+from repro.experiments.tracing import load_or_record
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_redirect.json")
 GOLDEN_SCALE = 0.05
@@ -42,15 +44,32 @@ def mismatches(expected: dict, actual: dict, prefix: str = "") -> list:
     return bad
 
 
+def check_golden(spec: str, *, kernel: bool) -> None:
+    """Run one golden point on the compiled kernel or the live engine.
+
+    Both paths are checked whatever ``REPRO_TRACE`` says: the kernel
+    replays the workload's committed trace, the live engine runs with
+    ``trace=False``.
+    """
+    benchmark, configuration, depth = spec.split("/")
+    point = ExperimentPoint(benchmark, configuration, int(depth)).resolve(
+        scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
+    trace = load_or_record(benchmark, GOLDEN_SCALE, 1) if kernel else False
+    info: dict = {}
+    result = execute_point(point, trace=trace, info=info)
+    assert info["kernel_source"] == ("kernel" if kernel else "live")
+    bad = mismatches(load_golden()[spec], result.to_dict())
+    assert not bad, f"{spec} drifted from seed behaviour: {bad}"
+
+
 class TestRedirectEquivalence:
     @pytest.mark.parametrize("spec", sorted(load_golden()))
     def test_redirect_matches_seed_golden(self, spec):
-        benchmark, configuration, depth = spec.split("/")
-        result = run_point(
-            ExperimentPoint(benchmark, configuration, int(depth)),
-            scale=GOLDEN_SCALE, warmup=GOLDEN_WARMUP, seed=1)
-        bad = mismatches(load_golden()[spec], result.to_dict())
-        assert not bad, f"{spec} drifted from seed behaviour: {bad}"
+        check_golden(spec, kernel=True)
+
+    @pytest.mark.parametrize("spec", sorted(load_golden()))
+    def test_live_engine_matches_seed_golden(self, spec):
+        check_golden(spec, kernel=False)
 
     def test_redirect_runs_report_no_speculation_activity(self):
         result = run_point(ExperimentPoint("m88ksim", "baseline", 20),

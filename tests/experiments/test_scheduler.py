@@ -112,13 +112,19 @@ class TestSchedulerEquivalence:
 
 
 class TestSchedulerBehaviour:
-    def test_progress_events_stream(self, tmp_path):
+    def test_progress_events_stream(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         events = []
         run_suite(configurations=("baseline",), depths=(20,),
                   benchmarks=("li",), scale=0.02, warmup=200, jobs=1,
                   cache=ResultCache(tmp_path), progress=events.append)
-        assert [e.source for e in events] == ["serial"]
-        assert events[0].completed == events[0].total == 1
+        points = [e for e in events if e.phase == "point"]
+        assert [e.source for e in points] == ["serial"]
+        assert points[0].completed == points[0].total == 1
+        # The single point replays a trace; lowering it is its own event,
+        # ahead of the point and without advancing the counter.
+        assert [e.phase for e in events] == ["lower", "point"]
+        assert events[0].completed == 0
         # Second run replays from cache and says so.
         events.clear()
         run_suite(configurations=("baseline",), depths=(20,),

@@ -1,9 +1,10 @@
 """Experiment-service trace layer: sharing policy, disk store, equality.
 
-The satellite property for PR 4: trace-replayed grids equal live-core
-grids ``==`` across workloads x configurations x depths x both
-speculation modes — plus the store-robustness rules (fingerprint-keyed
-staleness, corrupt files recompute, atomic writes).
+Trace-replayed grids equal live-core grids ``==`` across workloads x
+configurations x depths x both speculation modes — plus the store rules
+(fingerprint-keyed staleness, corrupt files recompute, atomic writes, a
+failed write costs only a recording, later plans read earlier plans'
+traces).
 """
 
 import os
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.plan import ExperimentPoint, plan_from_points
+from repro.experiments.aggregate import ViewAggregator
+from repro.experiments.plan import (
+    ExperimentPoint,
+    build_plan,
+    plan_from_points,
+)
 from repro.experiments.runner import execute_point
 from repro.experiments.scheduler import run_plan
 from repro.experiments.tracing import (
@@ -41,14 +47,13 @@ def point(benchmark="m88ksim", configuration="baseline", depth=20,
 class TestKnobs:
     def test_trace_mode_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_mode() == "memory"
+        assert trace_mode() == "on"
         for off in ("0", "false", "no", "off", "OFF"):
             monkeypatch.setenv("REPRO_TRACE", off)
             assert trace_mode() == "off"
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace_mode() == "memory"
-        monkeypatch.setenv("REPRO_TRACE", "disk")
-        assert trace_mode() == "disk"
+        for on in ("1", "memory", "disk"):
+            monkeypatch.setenv("REPRO_TRACE", on)
+            assert trace_mode() == "on"
 
     def test_trace_mode_rejects_unknown_values(self, monkeypatch):
         # REPRO_TRACE alone picks kernel or live, so a typo must not
@@ -59,17 +64,20 @@ class TestKnobs:
         for accepted in ("'0'", "'1'", "'disk'", "'memory'"):
             assert accepted in str(err.value)
 
-    @pytest.mark.parametrize("raw,expected", [
+    @pytest.mark.parametrize("raw,legacy", [
         ("TRUE", "memory"), (" Yes ", "memory"), ("on", "memory"),
         ("memory", "memory"), ("DISK", "disk"), (" off ", "off"),
         ("No", "off"), ("False", "off"),
     ])
-    def test_every_accepted_spelling(self, monkeypatch, raw, expected):
-        # Case and surrounding whitespace are normalized; the kernel is
-        # used exactly when traces are.
+    def test_every_accepted_spelling(self, monkeypatch, raw, legacy):
+        # ``legacy`` is the mode the spelling selected when there were
+        # two on-modes ("memory" and "disk"): each still parses, and both
+        # now select the one on-mode.  Case and surrounding whitespace
+        # are normalized; the kernel is used exactly when traces are.
         monkeypatch.setenv("REPRO_TRACE", raw)
+        expected = "off" if legacy == "off" else "on"
         assert trace_mode() == expected
-        assert kernel_mode() is (expected != "off")
+        assert kernel_mode() is (expected == "on")
 
     def test_unknown_value_fails_the_point(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "dsik")
@@ -162,12 +170,18 @@ class TestSharedTraces:
         traces = SharedTraces(points)
         assert all(traces.get(p) is None for p in points)
 
-    def test_single_redirect_point_stays_live_in_memory_mode(self,
-                                                             monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+    def test_single_redirect_point_gets_a_trace(self, monkeypatch,
+                                                tmp_path):
+        # Record + kernel beats the live engine even for one point, and
+        # the recording persists for the next run.
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         single = point()
-        traces = SharedTraces([single])
-        assert traces.get(single) is None  # nothing to amortize against
+        trace = SharedTraces([single]).get(single)
+        assert trace is not None
+        assert len(TraceStore(tmp_path)) == 1
+        assert execute_point(single, trace=trace) \
+            == execute_point(single, trace=False)
 
     def test_shared_workload_records_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
@@ -208,12 +222,14 @@ class TestExecutePointTraceArgument:
 
 
 class TestDiskMode:
+    """The store is the default: traces persist across calls and plans."""
+
     def test_cold_single_point_records_then_replays(self, monkeypatch,
                                                     tmp_path):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE", "0")
         live = execute_point(point())
-        monkeypatch.setenv("REPRO_TRACE", "disk")
+        monkeypatch.delenv("REPRO_TRACE")
         cold = execute_point(point())       # records into the store
         store = TraceStore(tmp_path)
         assert len(store) == 1
@@ -226,6 +242,47 @@ class TestDiskMode:
         execute_point(point(seed=1))
         execute_point(point(seed=2))
         assert len(TraceStore(tmp_path)) == 2
+
+    def test_second_plan_reads_the_store(self, monkeypatch, tmp_path):
+        """Successive run_plan calls on the local pool: the first records
+        each workload once, the second records nothing, and both equal
+        the live grid."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        plan = build_plan(("baseline", "current"), (20, 40),
+                          ("m88ksim", "li"), scale=SCALE, warmup=WARMUP)
+        grids, phases = [], []
+        for _ in range(2):
+            sink = ViewAggregator()
+            grids.append(run_plan(plan, jobs=2, backend="local",
+                                  use_cache=False, sink=sink))
+            phases.append(
+                sink.snapshot().views["status"]["phase_seconds"])
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        live = run_plan(plan, jobs=1, use_cache=False)
+        assert grids[0] == live and grids[1] == live
+        assert phases[0]["record"] > 0
+        assert "record" not in phases[1]
+        assert phases[1]["replay"] > 0
+        assert len(TraceStore(tmp_path)) == 2
+
+    def test_failed_store_write_is_only_a_miss(self, monkeypatch, tmp_path):
+        """A store that cannot be written (here a regular file where the
+        directory should be) still yields the recorded trace."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        store = TraceStore(blocker)
+        trace = load_or_record("m88ksim", SCALE, 1, store=store)
+        assert trace.length > 0
+        assert store.put_failed == 1 and store.misses == 1
+
+        plan = build_plan(("baseline", "current"), (20,), ("m88ksim",),
+                          scale=SCALE, warmup=WARMUP)
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(blocker))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        traced = run_plan(plan, jobs=1, use_cache=False)
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert traced == run_plan(plan, jobs=1, use_cache=False)
 
 
 class TestGridEquality:

@@ -37,6 +37,7 @@ from repro.pipeline.kernel import (
     kernel_run,
 )
 from repro.pipeline.trace import TraceError, record_trace
+from repro.predictors.gskew import level1_gskew
 from repro.predictors.twolevel import LevelTwoKind
 from repro.workloads.registry import SPECS, get_program
 
@@ -109,6 +110,28 @@ class TestEquality:
             d.addr for d in dyns if d.addr is not None]
         assert lowered.values() == [
             0 if d.result is None else d.result for d in dyns]
+
+    def test_one_level1_pass_per_lowered_trace(self, program,
+                                               monkeypatch):
+        """The hybrid, single-level and ARVI streams of a trace all read
+        one level-1 gskew pass, and still equal the live engine."""
+        from repro.pipeline import kernel
+
+        built = []
+
+        def counting_level1():
+            built.append(1)
+            return level1_gskew()
+
+        monkeypatch.setattr(kernel, "level1_gskew", counting_level1)
+        trace = record_trace(program)
+        config = machine_for_depth(40)
+        for kind in (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
+                     LevelTwoKind.ARVI):
+            assert kernel_run(program, trace, config, kind,
+                              warmup_instructions=500) \
+                == engine_result(program, kind=kind, depth=40)
+        assert len(built) == 1
 
     def test_lowered_form_is_shared_across_configs(self, program, trace):
         lowered = ensure_lowered(program, trace)
@@ -272,7 +295,8 @@ class TestProgressPhase:
                            backend="serial", progress=events.append)
         return plan, results
 
-    def test_lowering_is_its_own_phase(self):
+    def test_lowering_is_its_own_phase(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         events = []
         plan, results = self._run(events)
         assert len(results) == len(plan)

@@ -34,7 +34,7 @@ DEFAULTS = {
     "jobs": os.cpu_count() or 1,
     "cache": True,
     "cache_dir": RESULTS / "cache",
-    "trace": "memory",
+    "trace": "on",
     "trace_dir": RESULTS / "traces",
     "backend": None,
     "queue_workers": None,
@@ -64,10 +64,10 @@ ACCEPTED = [
     ("jobs", "3", 3),
     ("jobs", "0", os.cpu_count() or 1),
     ("trace", "0", "off"),
-    ("trace", "TRUE", "memory"),
-    ("trace", " Yes ", "memory"),
-    ("trace", "memory", "memory"),
-    ("trace", "DISK", "disk"),
+    ("trace", "TRUE", "on"),
+    ("trace", " Yes ", "on"),
+    ("trace", "memory", "on"),
+    ("trace", "DISK", "on"),
     ("backend", "serial", "serial"),
     ("backend", "Local", "local"),
     ("backend", "queue", "queue"),
