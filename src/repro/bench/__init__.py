@@ -136,6 +136,11 @@ def measure_kernel_replay(benchmark: str, configuration: str = "baseline",
     ``info["phase_seconds"]`` — the same per-phase clocks that feed the
     telemetry ledger spans — so the bench numbers and a run ledger's
     phase breakdown are directly comparable.
+
+    The first replay records the trace's memory outcome stream; the gate
+    then also replays a point of *another* configuration and depth from
+    that stream (DESIGN.md §10) and asserts it, too, equals its live
+    run — so the stream-replay path is gated, not only the recording.
     """
     point = ExperimentPoint(benchmark, configuration, 20, scale=scale,
                             warmup=warmup).resolve()
@@ -178,6 +183,21 @@ def measure_kernel_replay(benchmark: str, configuration: str = "baseline",
         raise AssertionError(
             f"{benchmark}/{configuration}: kernel replay diverged from "
             "the live engine")
+    other = ExperimentPoint(
+        benchmark, "current" if configuration == "baseline" else "baseline",
+        40, scale=scale, warmup=warmup).resolve()
+    info = {}
+    streamed = execute_point(other, trace=trace, info=info)
+    if info.get("memory_stream") != "played":
+        raise AssertionError(
+            f"{benchmark}/{other.configuration}@40: expected a replay from "
+            f"the memory stream recorded at {configuration}@20, got "
+            f"{info.get('memory_stream')!r}")
+    if streamed != execute_point(other, trace=False):
+        raise AssertionError(
+            f"{benchmark}/{other.configuration}@40: replay from a memory "
+            f"stream recorded at {configuration}@20 diverged from the "
+            "live engine")
     instructions = live_result.total_instructions
     return {
         "instructions": instructions,

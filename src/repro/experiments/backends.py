@@ -273,6 +273,7 @@ def _compute_batch(points: tuple[ExperimentPoint, ...],
                         ticker.put((batch_id, index, duration))
                     except Exception:  # noqa: BLE001 - a dead manager must
                         ticker = None  # not take the results down with it
+            traces.persist()
         if shard is not None:
             shard.snapshot_event()
         return entries
@@ -414,6 +415,7 @@ class SerialBackend(ExecutionBackend):
                     report.deliver(batch_id, index, payload,
                                    point_meta(info, point_trace))
                     report.tick(batch_id, index, duration)
+                traces.persist()
 
 
 class LocalPoolBackend(ExecutionBackend):

@@ -142,7 +142,7 @@ def _execute_phases(point: ExperimentPoint,
                                    phase_seconds=phase_seconds)
         if trace is not None:
             result = _kernel_replay(point, program, trace, config,
-                                    phase_seconds, perf)
+                                    phase_seconds, perf, info)
             if result is not None:
                 if info is not None:
                     info["kernel_source"] = "kernel"
@@ -199,15 +199,19 @@ def _kernel_fallback(point: ExperimentPoint, exc: Exception) -> None:
 
 def _kernel_replay(point: ExperimentPoint, program, trace, config,
                    phase_seconds: dict[str, float],
-                   perf) -> "SimulationResult | None":
+                   perf, info: dict | None) -> "SimulationResult | None":
     """Replay one redirect point through the compiled kernel.
 
     ``baseline`` maps to the stream pass (``LevelTwoKind.HYBRID``); the
     paper's ARVI configurations map to the fused ARVI pass.  Returns
     None when the kernel declines the point — the fallback is counted
     and attributed via :func:`_kernel_fallback`, and the caller runs
-    the live engine.
+    the live engine.  How the point got its cache outcomes (a memory
+    outcome stream ``recorded``, ``played`` or ``diverged``) is counted
+    in ``kernel_memory_stream_total{outcome=...}`` and reported as
+    ``info["memory_stream"]``.
     """
+    replay_info: dict = {} if info is None else info
     if point.configuration == "baseline":
         kind, value_mode = LevelTwoKind.HYBRID, ValueMode.CURRENT
     else:
@@ -227,8 +231,11 @@ def _kernel_replay(point: ExperimentPoint, program, trace, config,
                 program, trace, config, kind,
                 warmup_instructions=point.warmup,
                 value_mode=value_mode,
-                arvi_config=point.arvi_config)
+                arvi_config=point.arvi_config,
+                info=replay_info)
         phase_seconds["replay"] = perf() - start
+        obs.inc("kernel_memory_stream_total",
+                outcome=replay_info["memory_stream"])
     except KernelUnsupported as exc:
         _kernel_fallback(point, exc)
         return None

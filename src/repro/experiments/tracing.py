@@ -12,18 +12,24 @@ experiment service uses them and where recorded traces persist:
   point on the live engine.
 * :class:`TraceStore` — content-addressed ``*.trace`` files next to the
   result cache (``benchmarks/results/traces/``, relocate with
-  ``REPRO_TRACE_DIR``).  Keys include the same package source
-  fingerprint the result cache uses (:func:`~repro.experiments.plan.
-  code_fingerprint`), so editing the simulator or a workload strands
-  stale traces under dead keys instead of replaying them; corrupted or
-  truncated files are misses that trigger re-recording, and a failed
-  write only costs the next process a recording — never an error.
+  ``REPRO_TRACE_DIR``), each with a ``*.lowered`` file beside it under
+  the same key: the trace's lowered form and every derived column a
+  replay has built for it (:meth:`~repro.pipeline.kernel.LoweredTrace.
+  to_chunks` — branch decision streams, chain masks, memory outcome
+  streams).  Keys include the same package source fingerprint the
+  result cache uses (:func:`~repro.experiments.plan.code_fingerprint`),
+  so editing the simulator or a workload strands stale entries under
+  dead keys instead of replaying them; corrupted or truncated files are
+  misses that trigger re-recording (or re-lowering), and a failed write
+  only costs the next process that work — never an error.
 * :class:`SharedTraces` — the per-batch/per-sweep pool.  Each workload
   identity (benchmark, scale, seed) is fetched from the store (or
   recorded) at most once per batch, so every later ``run_plan`` — and
-  every worker of it — reads the trace instead of re-running the
-  functional core.  Wrong-path points always keep the live core —
-  wrong-path synthesis reads live architectural state.
+  every worker of it — reads the trace, already lowered, instead of
+  re-running the functional core and the lowering pass; after the
+  batch, :meth:`SharedTraces.persist` writes back the columns it
+  gained.  Wrong-path points always keep the live core — wrong-path
+  synthesis reads live architectural state.
 
 Changing this module never changes a simulation outcome (replay is
 bit-for-bit, enforced by the equality suite), so like the rest of the
@@ -43,6 +49,7 @@ from repro import obs
 from repro.faults import fsio
 from repro.experiments.plan import ExperimentPoint, code_fingerprint
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
+from repro.pipeline.kernel import LoweredTrace
 from repro.pipeline.trace import CommittedTrace, TraceError, TraceRecorder
 from repro.settings import Settings
 from repro.workloads.registry import get_program
@@ -99,7 +106,8 @@ def trace_key(benchmark: str, scale: float, seed: int,
 
 
 class TraceStore:
-    """Content-addressed store of serialized committed traces."""
+    """Content-addressed store of serialized committed traces and their
+    lowered forms (``<key>.trace`` and ``<key>.lowered``)."""
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = pathlib.Path(directory) if directory is not None \
@@ -107,11 +115,14 @@ class TraceStore:
         self.hits = 0
         self.misses = 0
         self.put_failed = 0
+        self.lowered_hits = 0
+        self.lowered_misses = 0
+        self.lowered_put_failed = 0
 
-    def _path(self, key: str) -> pathlib.Path:
+    def _path(self, key: str, suffix: str = ".trace") -> pathlib.Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"malformed trace key {key!r}")
-        return self.directory / f"{key}.trace"
+        return self.directory / f"{key}{suffix}"
 
     def get(self, key: str) -> CommittedTrace | None:
         """Load a stored trace; any malformed file is a miss."""
@@ -137,29 +148,55 @@ class TraceStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         fsio.atomic_write_bytes(path, trace.to_bytes(), site="trace.put")
 
+    def get_lowered(self, key: str, program,
+                    trace: CommittedTrace) -> LoweredTrace | None:
+        """Load ``trace``'s stored lowered form; any malformed, stale or
+        foreign file is a miss."""
+        try:
+            lowered = LoweredTrace.from_bytes(
+                self._path(key, ".lowered").read_bytes(), program, trace,
+                stamp=key)
+        except (OSError, TraceError):
+            self.lowered_misses += 1
+            obs.inc("trace_store.lowered.cold")
+            return None
+        self.lowered_hits += 1
+        obs.inc("trace_store.lowered.warm")
+        return lowered
+
+    def put_lowered(self, key: str, lowered: LoweredTrace) -> None:
+        """Atomically persist one lowered form under its trace's key.
+
+        Not fsynced: a torn or lost file only fails its checksum on the
+        next ``get_lowered`` and costs a re-lowering.
+        """
+        path = self._path(key, ".lowered")
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fsio.atomic_write_bytes(path, lowered.to_chunks(stamp=key),
+                                site="trace.put_lowered", fsync=False)
+
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
 
     def __len__(self) -> int:
+        """Stored traces (a ``*.lowered`` file is part of its trace's
+        entry, not an entry of its own)."""
         if not self.directory.is_dir():
             return 0
         return sum(1 for _ in self.directory.glob("*.trace"))
 
     def clear(self) -> int:
-        """Delete every stored trace (and orphaned temp files)."""
+        """Delete every stored trace, its lowered form and orphaned temp
+        files; returns the number of traces removed."""
         removed = 0
         if self.directory.is_dir():
-            for path in self.directory.glob("*.trace"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in self.directory.glob("*.tmp"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            for pattern in ("*.trace", "*.lowered", "*.tmp"):
+                for path in self.directory.glob(pattern):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        continue
+                    removed += pattern == "*.trace"
         return removed
 
 
@@ -175,13 +212,15 @@ def load_or_record(benchmark: str, scale: float, seed: int,
     """A workload's committed trace: from the store, else recorded.
 
     ``store=None`` uses the default store (``REPRO_TRACE_DIR``).  A
-    stored trace that fails validation against the freshly built
-    program (a key collision or hand-copied file) is re-recorded and
-    overwritten, mirroring the result cache's corrupt-entry policy.  The
-    store is a cache: a write that fails (read-only checkout, a file
-    where the directory should be) is counted in
-    ``trace_store.put_failed`` and the recorded trace is returned.  A
-    recording run adds its wall time to ``phase_seconds["record"]``.
+    stored trace comes back already lowered when its ``*.lowered`` file
+    checks out (see :func:`persist_lowered`).  A stored trace that fails
+    validation against the freshly built program (a key collision or
+    hand-copied file) is re-recorded and overwritten, mirroring the
+    result cache's corrupt-entry policy.  The store is a cache: a write
+    that fails (read-only checkout, a file where the directory should
+    be) is counted in ``trace_store.put_failed`` and the recorded trace
+    is returned.  A recording run adds its wall time to
+    ``phase_seconds["record"]``.
     """
     program = get_program(benchmark, scale=scale, seed=seed)
     if store is None:
@@ -191,9 +230,11 @@ def load_or_record(benchmark: str, scale: float, seed: int,
     if trace is not None:
         try:
             trace.validate_for(program)
-            return trace
         except TraceError:
             pass  # stale under this key: re-record below
+        else:
+            trace._lowered_cache = store.get_lowered(key, program, trace)
+            return trace
     started = time.perf_counter()
     with obs.span("record", kind="phase", attrs={
             "phase": "record", "benchmark": benchmark}):
@@ -208,6 +249,25 @@ def load_or_record(benchmark: str, scale: float, seed: int,
     return trace
 
 
+def persist_lowered(key: str, trace: CommittedTrace,
+                    store: TraceStore) -> None:
+    """Write ``trace``'s lowered form back under ``key`` if it gained
+    columns since it was loaded, lowered or last persisted.
+
+    A failed write is counted in ``trace_store.lowered.put_failed`` and
+    otherwise ignored: the next process rebuilds what it lacks.
+    """
+    lowered = trace._lowered_cache
+    if lowered is None or not lowered.dirty:
+        return
+    lowered.dirty = False
+    try:
+        store.put_lowered(key, lowered)
+    except (OSError, ValueError):  # an unwritable store, a full disk
+        store.lowered_put_failed += 1
+        obs.inc("trace_store.lowered.put_failed")
+
+
 def _workload_key(point: ExperimentPoint) -> tuple[str, float | None, int]:
     return (point.benchmark, point.scale, point.seed)
 
@@ -219,7 +279,8 @@ class SharedTraces:
     execute_point` call should replay, or None for a live run.  A trace
     is fetched (see :func:`load_or_record`) at most once per workload
     identity and dropped from the pool as soon as its last consumer has
-    fetched it, bounding memory across long serial sweeps.
+    fetched it, bounding memory across long serial sweeps.  The caller
+    calls :meth:`persist` once a batch's points have run.
     """
 
     def __init__(self, points) -> None:
@@ -228,6 +289,8 @@ class SharedTraces:
             _workload_key(point) for point in points
             if point.speculation == "redirect")
         self._traces: dict[tuple, CommittedTrace] = {}
+        self._handed: dict[tuple, CommittedTrace] = {}
+        self._store: TraceStore | None = None
 
     def get(self, point: ExperimentPoint,
             phase_seconds: dict[str, float] | None = None,
@@ -245,8 +308,20 @@ class SharedTraces:
         self._remaining[key] = remaining - 1
         trace = self._traces.pop(key, None)
         if trace is None:
+            if self._store is None:
+                self._store = default_trace_store()
             trace = load_or_record(point.benchmark, point.scale, point.seed,
+                                   store=self._store,
                                    phase_seconds=phase_seconds)
         if remaining > 1:
             self._traces[key] = trace
+        self._handed[key] = trace
         return trace
+
+    def persist(self) -> None:
+        """Write back the lowered columns the traces handed out since the
+        last call have gained — once per workload, after its points."""
+        for (benchmark, scale, seed), trace in self._handed.items():
+            persist_lowered(trace_key(benchmark, scale, seed), trace,
+                            self._store)
+        self._handed.clear()

@@ -18,16 +18,20 @@ from __future__ import annotations
 import os
 import pathlib
 import tempfile
+from collections.abc import Iterator
 
 from repro.faults import injector as _injector
 from repro.settings import Settings
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
+def atomic_write_bytes(path: str | os.PathLike,
+                       data: bytes | Iterator[bytes], *,
                        site: str | None = None,
                        fsync: bool | None = None) -> None:
     """Write ``data`` to ``path`` atomically and (by default) durably.
 
+    ``data`` may be an iterator of chunks, written back to back as they
+    are produced (so a large payload never sits in one buffer).
     ``site`` names the call seam for the fault injector ("cache.put",
     "broker.submit", ...); transient I/O errors are only injected at
     ``broker.*`` sites (broker calls are wrapped in a retry policy;
@@ -35,19 +39,22 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes, *,
     digests instead).  ``fsync=None`` defers to ``REPRO_FSYNC``.
     """
     path = pathlib.Path(path)
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) \
+        else data
     if site is not None:
         inj = _injector.active()
         if inj is not None:
             if site.startswith("broker."):
                 inj.maybe_io_error(site)
-            data = inj.mangle(site, data)
+            chunks = (inj.mangle(site, b"".join(chunks)),)
     if fsync is None:
         fsync = Settings.from_env().fsync
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                     suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())

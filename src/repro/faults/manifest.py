@@ -3,7 +3,10 @@
 A manifest is an append-only JSONL file named by the *plan hash* — the
 SHA-256 over the plan's sorted point keys (which already fold in every
 config knob and the simulator source fingerprint).  The first line is a
-header identifying the plan; each subsequent line records one completed
+header identifying the plan (plus, for the reader, the resolved
+``Settings`` of the run that created it — a resume under other knobs
+still reuses the completed points, since no knob outside the point keys
+changes a result); each subsequent line records one completed
 point as ``{"kind": "result", "key": ..., "payload": ..., "sha": ...}``
 where ``sha`` is a digest of the line's own content.  Appends are
 flushed (and fsynced when ``REPRO_FSYNC`` is on) per line, so a SIGKILL
@@ -65,7 +68,7 @@ def resolve_manifest(manifest, keys: Iterable[str],
         directory = settings.manifest_dir
     else:
         directory = pathlib.Path(manifest)
-    return RunManifest.open(directory, keys)
+    return RunManifest.open(directory, keys, settings=settings)
 
 
 class RunManifest:
@@ -81,8 +84,13 @@ class RunManifest:
 
     @classmethod
     def open(cls, directory: str | os.PathLike, keys: Iterable[str],
-             ) -> "RunManifest":
-        """Open (creating or resuming) the manifest for this plan."""
+             settings: Settings | None = None) -> "RunManifest":
+        """Open (creating or resuming) the manifest for this plan.
+
+        A new manifest's header records ``settings.to_dict()`` (when
+        given); header validity and resume depend on the plan hash and
+        schema only.
+        """
         keys = list(keys)
         wanted = set(keys)
         plan = plan_hash(keys)
@@ -121,8 +129,11 @@ class RunManifest:
         handle = open(path, mode, encoding="utf-8")
         manifest = cls(path, plan, completed, handle)
         if not valid_header:
-            manifest._append({"kind": "plan", "v": MANIFEST_SCHEMA_VERSION,
-                              "plan": plan, "points": len(keys)})
+            header = {"kind": "plan", "v": MANIFEST_SCHEMA_VERSION,
+                      "plan": plan, "points": len(keys)}
+            if settings is not None:
+                header["settings"] = settings.to_dict()
+            manifest._append(header)
         return manifest
 
     def _append(self, record: dict) -> None:

@@ -162,17 +162,33 @@ def summary(run: pathlib.Path, echo=print) -> int:
         for label, (count, total) in sorted(phases.items()):
             echo(f"  {label:<12} {count:>4} span(s) {total:>9.3f}s total "
                  f"{total / count:>8.4f}s avg")
-    if tree.metrics:
-        snapshot = tree.metrics[-1].get("metrics", {})
-        counters = snapshot.get("counters", [])
-        if counters:
-            echo("")
-            echo("counters:")
-            for entry in counters:
-                labels = entry.get("labels")
-                suffix = f" {labels}" if labels else ""
-                echo(f"  {entry['name']}{suffix} = {entry['value']}")
+    counters = _run_counters(run, tree)
+    if counters:
+        echo("")
+        echo("counters:")
+        for entry in counters:
+            labels = entry.get("labels")
+            suffix = f" {labels}" if labels else ""
+            echo(f"  {entry['name']}{suffix} = {entry['value']}")
     return 0
+
+
+def _run_counters(run: pathlib.Path, tree: SpanTree) -> list[dict]:
+    """The run's counter totals.
+
+    A closed run's ``metrics.json`` folds every worker shard's counters
+    into the parent's; the ledger's last snapshot is only the parent's,
+    so it is the fallback for a run that never closed.
+    """
+    totals = run / "metrics.json" if run.is_dir() else None
+    if totals is not None and totals.is_file():
+        try:
+            return json.loads(totals.read_text()).get("counters", [])
+        except (OSError, ValueError):
+            pass
+    if tree.metrics:
+        return tree.metrics[-1].get("metrics", {}).get("counters", [])
+    return []
 
 
 # -- tail ---------------------------------------------------------------------

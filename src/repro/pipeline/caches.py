@@ -160,6 +160,57 @@ class MemoryStats:
                       for f in dataclasses.fields(cls)})
 
 
+#: Outcome-code bases of the two demand sides (see
+#: :meth:`MemoryHierarchy.outcome`): a code is ``side + 3 * tlb_miss +
+#: level``, so the 12 codes index :func:`latency_table` directly.
+I_SIDE = 0
+D_SIDE = 6
+
+
+def latency_table(config: MachineConfig) -> list[int]:
+    """Latency of each of the 12 outcome codes on this machine.
+
+    Mirrors ``MemoryHierarchy._access``: a TLB miss adds its penalty,
+    then the L1 hit latency, plus the L2 hit latency on an L1 miss, plus
+    the memory latency on an L2 miss.
+    """
+    table = []
+    for level1, tlb in ((config.icache, config.itlb),
+                        (config.dcache, config.dtlb)):
+        for penalty in (0, tlb.miss_penalty):
+            l1 = penalty + level1.hit_latency
+            l2 = l1 + config.l2cache.hit_latency
+            table += [l1, l2, l2 + config.memory_latency]
+    return table
+
+
+def geometry_key(config: MachineConfig) -> tuple[int, ...]:
+    """Everything about the hierarchy that shapes its outcomes.
+
+    Cache and TLB sizes, associativities, line and page sizes — but no
+    latency: two machines with equal keys return the same outcome code
+    for every access of every access sequence.
+    """
+    key: list[int] = []
+    for cache in (config.icache, config.dcache, config.l2cache):
+        key += [cache.size_bytes, cache.assoc, cache.line_bytes]
+    for tlb in (config.itlb, config.dtlb):
+        key += [tlb.entries, tlb.assoc, tlb.page_bytes]
+    return tuple(key)
+
+
+def stats_from_outcomes(codes: bytes, used: int) -> MemoryStats:
+    """The demand statistics of the first ``used`` outcome codes."""
+    count = [codes.count(bytes((code,)), 0, used) for code in range(12)]
+    levels = [count[code] + count[code + 3] for code in (0, 1, 2, 6, 7, 8)]
+    return MemoryStats(
+        l1i_hits=levels[0], l1i_misses=levels[1] + levels[2],
+        l1d_hits=levels[3], l1d_misses=levels[4] + levels[5],
+        l2_hits=levels[1] + levels[4], l2_misses=levels[2] + levels[5],
+        itlb_misses=sum(count[3:6]), dtlb_misses=sum(count[9:12]),
+    )
+
+
 class MemoryHierarchy:
     """Two-level cache + TLB timing model.
 
@@ -193,6 +244,28 @@ class MemoryHierarchy:
 
     def data_latency(self, addr: int, *, wrong_path: bool = False) -> int:
         return self._access(self.l1d, self.dtlb, addr, wrong_path)
+
+    def outcome(self, addr: int, side: int) -> int:
+        """One demand access, as an outcome code instead of a latency.
+
+        Performs exactly the state updates of ``instruction_latency``
+        (``side`` = :data:`I_SIDE`) or ``data_latency`` (:data:`D_SIDE`)
+        and returns ``side + 3 * tlb_miss + level`` (level 0 = L1 hit,
+        1 = L2 hit, 2 = memory).  ``latency_table(config)[code]`` is the
+        latency the ``*_latency`` call would have returned.
+        """
+        if side:
+            level1, tlb = self.l1d, self.dtlb
+        else:
+            level1, tlb = self.l1i, self.itlb
+        misses = tlb.misses
+        tlb.access(addr)
+        code = side + 3 if tlb.misses != misses else side
+        if level1.access(addr):
+            return code
+        if self.l2.access(addr):
+            return code + 1
+        return code + 2
 
     def stats(self) -> MemoryStats:
         return MemoryStats(

@@ -24,7 +24,14 @@ by every redirect timing point of a batch:
   accuracy stream, and the branch decision streams (the level-1 gskew,
   the level-2 hybrid and the ARVI confidence estimator are
   timing-independent, so each is simulated once per trace and shared
-  across every config; the level-1 stream feeds all the others).
+  across every config; the level-1 stream feeds all the others),
+* memory outcome streams, one per cache geometry
+  (:mod:`repro.pipeline.memstream`): the first replay records the live
+  hierarchy's outcomes, later replays read their latencies from it.
+
+A lowered trace and all of these columns persist beside the trace in
+the experiment service's trace store (:meth:`LoweredTrace.to_chunks`),
+so they are built once per workload per artifact, not once per plan.
 
 :func:`kernel_run` then evaluates one timing configuration as a lean
 array pass over the lowered form: the same fetch/issue/commit arithmetic
@@ -55,6 +62,11 @@ increments the ``kernel_fallback_total`` counter with its reason.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import marshal
+import struct
+import sys
 from bisect import bisect_left
 from heapq import heapreplace
 
@@ -73,9 +85,15 @@ from repro.isa.decoded import (
     RAS_PUSH,
 )
 from repro.isa.program import DATA_BASE, STACK_TOP, Program
-from repro.pipeline.caches import MemoryHierarchy
+from repro.pipeline.caches import geometry_key
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.functional import DEFAULT_MAX_INSTRUCTIONS
+from repro.pipeline.memstream import (
+    MemoryStream,
+    PlayingSource,
+    RecordingSource,
+    StreamDiverged,
+)
 from repro.pipeline.stats import BranchClassStats, SimulationResult
 from repro.pipeline.trace import CommittedTrace, TraceError
 from repro.predictors.confidence import ConfidenceEstimator
@@ -120,6 +138,22 @@ _SUPPORTED_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE,
 #: streams and chain masks are timing-independent, but the BVIT keys
 #: read per-configuration retirement and hoist timing.
 _STREAM_KINDS = (LevelTwoKind.HYBRID, LevelTwoKind.NONE)
+
+#: Version of the persisted lowered-trace layout (:meth:`LoweredTrace.
+#: to_chunks`); a mismatch is a load error, so the store rebuilds.
+LOWERED_FORMAT_VERSION = 1
+
+_LOWERED_MAGIC = b"REPROLWR"
+
+#: The :class:`LoweredTrace` columns persisted as-is (the branch streams
+#: and memory streams are persisted through their own tuple forms; the
+#: program, the trace and the static ``has_result`` table are rebound).
+_PERSISTED = (
+    "length", "pcs", "kclass", "byte_pcs", "dep1", "dep2",
+    "mem_pos", "mem_addr", "store_dep", "load_prefix", "store_prefix",
+    "branch_pos", "branch_pcs", "branch_taken", "jr_pos", "jr_correct_cum",
+    "_codes", "_level1", "_values", "_confident", "_chains",
+)
 
 
 class KernelUnsupported(RuntimeError):
@@ -199,6 +233,16 @@ class _BranchStreams:
         self.cum_helpful = chp
         self.cum_harmful = chm
 
+    def to_tuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @classmethod
+    def from_tuple(cls, fields: tuple) -> "_BranchStreams":
+        streams = cls.__new__(cls)
+        for name, column in zip(cls.__slots__, fields, strict=True):
+            setattr(streams, name, column)
+        return streams
+
 
 def _confidence_stream(bpcs: list[int], btaken: list[bool],
                        l1_stream: list[bool]) -> list[bool]:
@@ -225,7 +269,12 @@ def _confidence_stream(bpcs: list[int], btaken: list[bool],
 
 
 class LoweredTrace:
-    """Dense array form of one committed trace, shared across configs."""
+    """Dense array form of one committed trace, shared across configs.
+
+    ``dirty`` is set whenever a column is built (and by lowering
+    itself) and cleared when the form is loaded or persisted, so the
+    store writes a lowered form back only when it gained columns.
+    """
 
     __slots__ = (
         "program", "trace", "length",
@@ -235,7 +284,7 @@ class LoweredTrace:
         "branch_pos", "branch_pcs", "branch_taken",
         "jr_pos", "jr_correct_cum", "_hasres",
         "_codes", "_level1", "_streams", "_values", "_confident",
-        "_chains",
+        "_chains", "_memory", "dirty",
     )
 
     # -- derived caches ------------------------------------------------------
@@ -254,6 +303,7 @@ class LoweredTrace:
                 last = line
                 codes[i] |= _LINE_CHANGE
         self._codes[line_mask] = codes
+        self.dirty = True
         return codes
 
     def level1_stream(self) -> list[bool]:
@@ -262,6 +312,7 @@ class LoweredTrace:
         if level1 is None:
             level1 = _level1_stream(self.branch_pcs, self.branch_taken)
             self._level1 = level1
+            self.dirty = True
         return level1
 
     def streams_for(self, kind: LevelTwoKind) -> _BranchStreams:
@@ -276,6 +327,7 @@ class LoweredTrace:
             streams = _BranchStreams(self.branch_pcs, self.branch_taken,
                                      self.level1_stream(), kind)
             self._streams[kind] = streams
+            self.dirty = True
         return streams
 
     def values(self) -> list[int]:
@@ -309,6 +361,7 @@ class LoweredTrace:
                 f"trace of {self.trace.program_name!r} is internally "
                 "inconsistent (column lengths do not match the stream)")
         self._values = vals
+        self.dirty = True
         return vals
 
     def confidence_stream(self) -> list[bool]:
@@ -318,6 +371,7 @@ class LoweredTrace:
             confident = _confidence_stream(
                 self.branch_pcs, self.branch_taken, self.level1_stream())
             self._confident = confident
+            self.dirty = True
         return confident
 
     def arvi_chains(self, rob_entries: int) -> list[int]:
@@ -356,7 +410,114 @@ class LoweredTrace:
                 chains.append(row)
             ring[i % rob] = row | 1
         self._chains[rob_entries] = chains
+        self.dirty = True
         return chains
+
+    def memory_stream(self, config: MachineConfig) -> MemoryStream | None:
+        """The recorded memory outcome stream for ``config``'s cache
+        geometry, if a replay has recorded one."""
+        return self._memory.get(geometry_key(config))
+
+    def add_memory_stream(self, config: MachineConfig,
+                          stream: MemoryStream) -> None:
+        self._memory[geometry_key(config)] = stream
+        self.dirty = True
+
+    # -- persistence ---------------------------------------------------------
+    #
+    # Layout: 8-byte magic, little-endian u32 header length, JSON header,
+    # then one frame per column (u32 length + the column's marshal bytes;
+    # marshal is the fastest stdlib round trip for lists of ints), then a
+    # 32-byte SHA-256 over everything before it.  The header binds the
+    # columns to the exact committed trace they were derived from (the
+    # trace's own SHA-256), to the writer's stamp (the store key, hence
+    # the code fingerprint), to the interpreter's marshal format and to
+    # the byte order of the memory streams' position arrays.
+    # Anything that does not check out is a TraceError, which the trace
+    # store treats as a miss.  Writing frame by frame keeps at most one
+    # column's bytes alive next to the columns themselves.
+
+    def _columns(self):
+        for name in _PERSISTED:
+            yield getattr(self, name)
+        yield {kind.value: streams.to_tuple()
+               for kind, streams in self._streams.items()}
+        yield {key: stream.to_tuple() for key, stream in self._memory.items()}
+
+    def to_chunks(self, stamp: str = ""):
+        """Yield the serialized form chunk by chunk (``b"".join`` of the
+        chunks is what :meth:`from_bytes` reads).  ``stamp`` is an opaque
+        label the reader must present again (the trace store passes the
+        entry's key, which folds in the code fingerprint)."""
+        header = json.dumps({"format": LOWERED_FORMAT_VERSION,
+                             "marshal": marshal.version,
+                             "python": list(sys.version_info[:2]),
+                             "byteorder": sys.byteorder,
+                             "trace": self.trace.digest(),
+                             "stamp": stamp},
+                            sort_keys=True, separators=(",", ":")).encode()
+        chunk = _LOWERED_MAGIC + struct.pack("<I", len(header)) + header
+        digest = hashlib.sha256(chunk)
+        yield chunk
+        for column in self._columns():
+            frame = marshal.dumps(column)
+            chunk = struct.pack("<I", len(frame))
+            digest.update(chunk)
+            digest.update(frame)
+            yield chunk
+            yield frame
+        yield digest.digest()
+
+    @classmethod
+    def from_bytes(cls, data: bytes, program: Program,
+                   trace: CommittedTrace, stamp: str = "") -> "LoweredTrace":
+        """Load persisted columns for ``trace`` (already validated for
+        ``program``) written under ``stamp``; any mismatch or damage is a
+        TraceError."""
+        try:
+            view = memoryview(data)
+            if hashlib.sha256(view[:-32]).digest() != data[-32:]:
+                raise TraceError("lowered trace checksum mismatch")
+            if data[:8] != _LOWERED_MAGIC:
+                raise TraceError("bad lowered-trace magic")
+            (header_len,) = struct.unpack_from("<I", data, 8)
+            offset = 12 + header_len
+            header = json.loads(bytes(view[12:offset]))
+            if (header["format"] != LOWERED_FORMAT_VERSION
+                    or header["marshal"] != marshal.version
+                    or header["python"] != list(sys.version_info[:2])
+                    or header["byteorder"] != sys.byteorder):
+                raise TraceError("lowered trace from another format")
+            if header["trace"] != trace.digest() \
+                    or header["stamp"] != stamp:
+                raise TraceError("lowered trace of another committed trace")
+            columns = []
+            while offset < len(data) - 32:
+                (size,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                columns.append(marshal.loads(view[offset:offset + size]))
+                offset += size
+            *plain, streams, memory = columns
+            lowered = cls.__new__(cls)
+            lowered.program = program
+            lowered.trace = trace
+            lowered._hasres = program.decoded().static_columns()[5]
+            for name, column in zip(_PERSISTED, plain, strict=True):
+                setattr(lowered, name, column)
+            lowered._streams = {
+                LevelTwoKind(kind): _BranchStreams.from_tuple(fields)
+                for kind, fields in streams.items()}
+            lowered._memory = {
+                tuple(key): MemoryStream.from_tuple(fields)
+                for key, fields in memory.items()}
+            lowered.dirty = False
+            if lowered.length != trace.length:
+                raise TraceError("lowered trace length mismatch")
+            return lowered
+        except TraceError:
+            raise
+        except Exception as exc:  # truncated/garbage input of any shape
+            raise TraceError(f"malformed lowered trace: {exc}") from exc
 
 
 def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
@@ -379,6 +540,8 @@ def _lower(program: Program, trace: CommittedTrace) -> LoweredTrace:
     lowered._values = None
     lowered._confident = None
     lowered._chains = {}
+    lowered._memory = {}
+    lowered.dirty = True
 
     kclass = [cls_tab[pc] for pc in pcs_list]
     lowered.kclass = kclass
@@ -490,9 +653,10 @@ def is_lowered(trace: CommittedTrace, program: Program | None = None) -> bool:
 def ensure_lowered(program: Program, trace: CommittedTrace) -> LoweredTrace:
     """Lower (and cache) ``trace`` for ``program``.
 
-    The lowered form is built once per (trace, program) pair and shared
+    The lowered form is built once per (trace, program) pair (unless the
+    trace store handed the trace back already lowered) and shared
     read-only by every replay of the trace — a batch of redirect timing
-    points pays the lowering cost exactly once per workload identity.
+    points pays the lowering cost at most once per workload identity.
     """
     cached = trace._lowered_cache
     if cached is not None and cached.program is program:
@@ -509,6 +673,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                value_mode: ValueMode = ValueMode.CURRENT,
                arvi_config: ARVIConfig | None = None,
+               info: dict | None = None,
                ) -> SimulationResult:
     """Replay one timing configuration over the lowered trace.
 
@@ -517,10 +682,16 @@ def kernel_run(program: Program, trace: CommittedTrace,
     arvi_config), value_mode=..., warmup_instructions=...)
     .run(max_instructions)`` — the live run of the program the trace
     was recorded from — for every supported configuration; raises
-    :class:`KernelUnsupported` for anything else.  The memory hierarchy runs live, in the engine's
-    exact access order — the shared L2 couples I-side and D-side state,
-    and store-forwarding outcomes depend on per-config timing, so cache
-    latencies cannot be precomputed.
+    :class:`KernelUnsupported` for anything else.
+
+    Cache outcomes come from a memory outcome stream
+    (:mod:`repro.pipeline.memstream`): the first replay of the lowered
+    trace for a cache geometry runs the live hierarchy and records one;
+    later replays with that geometry and a budget it covers read their
+    latencies from it, checking every load's store-forwarding decision
+    against it, and re-run on the live hierarchy on the first mismatch.
+    ``info``, when given, gets ``info["memory_stream"]`` = ``"recorded"``
+    | ``"played"`` | ``"diverged"``.
 
     ``LevelTwoKind.ARVI`` (``value_mode`` / ``arvi_config`` select the
     paper's evaluation configurations) runs the ARVI pass: the shared
@@ -552,24 +723,56 @@ def kernel_run(program: Program, trace: CommittedTrace,
         n_run = 0
 
     if kind is LevelTwoKind.ARVI:
-        return _arvi_replay(program, lowered, config, value_mode,
-                            arvi_config, warmup_instructions, n_run)
+        def run_pass(source):
+            return _arvi_replay(program, lowered, config, value_mode,
+                                arvi_config, warmup_instructions, n_run,
+                                source)
+    else:
+        streams = lowered.streams_for(kind)
 
-    streams = lowered.streams_for(kind)
-    memory = MemoryHierarchy(config)
+        def run_pass(source):
+            return _stream_replay(lowered, streams, config, kind,
+                                  warmup_instructions, n_run, source)
 
+    stream = lowered.memory_stream(config)
+    if stream is not None and n_run <= stream.length:
+        try:
+            result = run_pass(PlayingSource(stream, config))
+            outcome = "played"
+        except StreamDiverged:
+            result = run_pass(RecordingSource(
+                config, lowered.byte_pcs, lowered.mem_addr, lowered.mem_pos))
+            outcome = "diverged"
+    else:
+        recorder = RecordingSource(config, lowered.byte_pcs,
+                                   lowered.mem_addr, lowered.mem_pos)
+        result = run_pass(recorder)
+        lowered.add_memory_stream(config, recorder.stream(n_run))
+        outcome = "recorded"
+    if info is not None:
+        info["memory_stream"] = outcome
+    return result
+
+
+def _stream_replay(lowered: LoweredTrace, streams: _BranchStreams,
+                   config: MachineConfig, kind: LevelTwoKind, warmup: int,
+                   n_run: int, memory) -> SimulationResult:
+    """The stream pass: hybrid/none decisions from shared streams.
+
+    ``memory`` is the latency source (a :mod:`repro.pipeline.memstream`
+    recording or playing source).
+    """
     # ---- hot locals (mirrors the engine's fused loop) ---------------------
     codes = lowered.codes_for(~(config.icache.line_bytes - 1))
-    byte_pcs = lowered.byte_pcs
     dep1 = lowered.dep1
     dep2 = lowered.dep2
     mem_pos = lowered.mem_pos
-    mem_addr = lowered.mem_addr
     store_dep = lowered.store_dep
     branch_bad = streams.bad
     branch_override = streams.override
-    mem_ilat = memory.instruction_latency
-    mem_dlat = memory.data_latency
+    mem_ilat = memory.ilat
+    mem_dlat = memory.dlat
+    mem_forward = memory.forward
     icache_hit_latency = config.icache.hit_latency
     frontend_depth = config.frontend_depth
     fetch_width = config.fetch_width
@@ -614,7 +817,7 @@ def kernel_run(program: Program, trace: CommittedTrace,
                 if free_at > earliest:
                     earliest = free_at
         if code & _LINE_CHANGE:
-            extra = mem_ilat(byte_pcs[i]) - icache_hit_latency
+            extra = mem_ilat(i) - icache_hit_latency
             if extra > 0:
                 earliest += extra
         if earliest > fetch_cycle:
@@ -653,11 +856,12 @@ def kernel_run(program: Program, trace: CommittedTrace,
             heapreplace(dcache_free, access + 1)
             source = store_dep[mem_i]
             if source >= 0 and commit_arr[source] > access:
+                mem_forward(mem_i)
                 data_ready = complete_arr[source]
                 complete = (access if access >= data_ready
                             else data_ready) + 1
             else:
-                complete = access + mem_dlat(mem_addr[mem_i])
+                complete = access + mem_dlat(mem_i)
             mem_i += 1
         elif k == K_STORE:
             server_free = alu_free[0]
@@ -716,20 +920,19 @@ def kernel_run(program: Program, trace: CommittedTrace,
                     fetch_barrier = barrier
             branch_i += 1
 
-    return _stream_result(lowered, kind, config, warmup_instructions,
+    return _stream_result(lowered, streams, kind, config, warmup,
                           n_run, last_commit, commit_arr, memory)
 
 
-def _stream_result(lowered: LoweredTrace, kind: LevelTwoKind,
-                   config: MachineConfig, warmup: int, n_run: int,
-                   last_commit: int, commit_arr: list[int],
-                   memory: MemoryHierarchy) -> SimulationResult:
+def _stream_result(lowered: LoweredTrace, streams: _BranchStreams,
+                   kind: LevelTwoKind, config: MachineConfig, warmup: int,
+                   n_run: int, last_commit: int, commit_arr: list[int],
+                   memory) -> SimulationResult:
     """Statistics epilogue of the stream loop.
 
     Everything after the timing loop is a pure function of the lowered
     trace, the branch streams and ``(last_commit, commit_arr)``.
     """
-    streams = lowered.streams_for(kind)
     result = SimulationResult(
         benchmark=lowered.program.name,
         configuration=f"2-level {kind.value}",
@@ -764,7 +967,7 @@ def _stream_result(lowered: LoweredTrace, kind: LevelTwoKind,
     measured_start_cycle = commit_arr[warmup] if warmup < n_run else 0
     result.instructions = max(n_run - warmup, 0)
     result.cycles = max(last_commit - measured_start_cycle, 0)
-    result.memory = memory.stats()
+    result.memory = memory.stats(n_run)
 
     pops = bisect_left(lowered.jr_pos, n_run)
     correct_pops = lowered.jr_correct_cum[pops]
@@ -775,7 +978,7 @@ def _stream_result(lowered: LoweredTrace, kind: LevelTwoKind,
 def _arvi_replay(program: Program, lowered: LoweredTrace,
                  config: MachineConfig, value_mode: ValueMode,
                  arvi_config: ARVIConfig | None, warmup: int,
-                 n_run: int) -> SimulationResult:
+                 n_run: int, memory) -> SimulationResult:
     """The ARVI pass: engine semantics, flat-loop mechanics.
 
     Mirrors :meth:`PipelineEngine.run` stage for stage for the ARVI
@@ -809,13 +1012,13 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     fresh predictor).  The full ARVI decision stream is **not**
     timing-independent — the cut ``h`` and the hoist times depend on
     per-config commit timing — so equality with the live engine is what
-    the tests and the bench gate assert.
+    the tests and the bench gate assert.  ``memory`` is the latency
+    source, as for :func:`_stream_replay`.
     """
     _cls, _src1, _src2, wr_tab, _ras, _hr = \
         program.decoded().static_columns()
     chains = lowered.arvi_chains(config.rob_entries)
     acfg = arvi_config or ARVIConfig()
-    memory = MemoryHierarchy(config)
     bvit = BVIT(acfg.sets, acfg.ways)
     bvit_lookup = bvit.lookup
     bvit_update = bvit.update
@@ -830,18 +1033,17 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     pcs = lowered.pcs
     kclass = lowered.kclass
     codes = lowered.codes_for(~(config.icache.line_bytes - 1))
-    byte_pcs = lowered.byte_pcs
     dep1 = lowered.dep1
     dep2 = lowered.dep2
     mem_pos = lowered.mem_pos
-    mem_addr = lowered.mem_addr
     store_dep = lowered.store_dep
     values = lowered.values()
     branch_taken = lowered.branch_taken
     l1_stream = lowered.level1_stream()
     conf_stream = lowered.confidence_stream()
-    mem_ilat = memory.instruction_latency
-    mem_dlat = memory.data_latency
+    mem_ilat = memory.ilat
+    mem_dlat = memory.dlat
+    mem_forward = memory.forward
     icache_hit_latency = config.icache.hit_latency
     frontend_depth = config.frontend_depth
     rename_offset = config.rename_offset
@@ -906,7 +1108,7 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
                 if free_at > earliest:
                     earliest = free_at
         if code & _LINE_CHANGE:
-            extra = mem_ilat(byte_pcs[i]) - icache_hit_latency
+            extra = mem_ilat(i) - icache_hit_latency
             if extra > 0:
                 earliest += extra
         if earliest > fetch_cycle:
@@ -1011,11 +1213,12 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
             heapreplace(dcache_free, access + 1)
             source = store_dep[mem_i]
             if source >= 0 and commit_arr[source] > access:
+                mem_forward(mem_i)
                 data_ready = complete_arr[source]
                 complete = (access if access >= data_ready
                             else data_ready) + 1
             else:
-                complete = access + mem_dlat(mem_addr[mem_i])
+                complete = access + mem_dlat(mem_i)
             if is_load_back:
                 # Hoisted availability: operand readiness, gated by the
                 # forwarding store's data, plus the actual latency.
@@ -1138,7 +1341,7 @@ def _arvi_replay(program: Program, lowered: LoweredTrace,
     measured_start_cycle = commit_arr[warmup] if warmup < n_run else 0
     result.instructions = max(n_run - warmup, 0)
     result.cycles = max(last_commit - measured_start_cycle, 0)
-    result.memory = memory.stats()
+    result.memory = memory.stats(n_run)
 
     pops = bisect_left(lowered.jr_pos, n_run)
     correct_pops = lowered.jr_correct_cum[pops]

@@ -81,6 +81,7 @@ class CommittedTrace:
         "program_name", "static_length", "entry", "length", "pcs",
         "results", "taken_bits", "branch_count", "addrs", "store_values",
         "final_next_pc", "halted", "max_instructions", "_lowered_cache",
+        "_digest",
     )
 
     def __init__(self, *, program_name: str, static_length: int, entry: int,
@@ -104,6 +105,7 @@ class CommittedTrace:
         # Lowered array form (pipeline.kernel.LoweredTrace), built once
         # per (trace, program) pair and shared by every replay.
         self._lowered_cache = None
+        self._digest: str | None = None
 
     # -- validation ----------------------------------------------------------
 
@@ -118,6 +120,12 @@ class CommittedTrace:
                 f"{self.entry}) does not match program {program.name!r} "
                 f"({len(program.instructions)} instructions, entry "
                 f"{program.entry})")
+
+    def digest(self) -> str:
+        """SHA-256 of the serialized trace (the header's ``sha256``)."""
+        if self._digest is None:
+            self.to_bytes()
+        return self._digest
 
     # -- serialization -------------------------------------------------------
     #
@@ -152,7 +160,8 @@ class CommittedTrace:
                    + self.store_values.tobytes())
         core = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode()
-        header["sha256"] = hashlib.sha256(core + columns).hexdigest()
+        header["sha256"] = self._digest = \
+            hashlib.sha256(core + columns).hexdigest()
         blob = json.dumps(header, sort_keys=True,
                           separators=(",", ":")).encode()
         out = bytearray(_MAGIC)
@@ -211,7 +220,7 @@ class CommittedTrace:
             offset += n_taken_bytes
             addrs = take_array(n_mem)
             store_values = take_array(n_stores)
-            return cls(
+            trace = cls(
                 program_name=header["program"],
                 static_length=header["static_length"],
                 entry=header["entry"],
@@ -222,6 +231,8 @@ class CommittedTrace:
                 halted=bool(header["halted"]),
                 max_instructions=header["max_instructions"],
             )
+            trace._digest = stated
+            return trace
         except TraceError:
             raise
         except Exception as exc:  # truncated/garbage input of any shape

@@ -218,6 +218,8 @@ def _run_job(broker: FileBroker, leased: LeasedJob,
                     # one-per-broker-dir semantics, marker owned by the
                     # injector.
                     injector.maybe_crash(broker.directory)
+            if shared is not None:
+                shared.persist()
             obs.emit("sources", kind="worker", attrs={
                 "trace_source": trace_source,
                 "kernel_source": kernel_source})

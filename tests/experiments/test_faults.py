@@ -810,6 +810,39 @@ class TestManifestResume:
         assert len([e for e in events if e.phase == "point"]) \
             == len(small_plan())
 
+    def test_header_carries_settings_and_other_knobs_still_resume(
+            self, tmp_path, serial_results, monkeypatch):
+        """The header records the resolved knobs of the run that made it;
+        a resume under other knobs (which change no point key) still
+        reuses every completed point."""
+        seen = []
+
+        def die_after_two(event):
+            if event.phase == "point":
+                seen.append(event)
+                if len(seen) == 2:
+                    raise KeyboardInterrupt
+
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "600")
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(small_plan(), jobs=1, use_cache=False,
+                     backend="serial", manifest=tmp_path,
+                     progress=die_after_two)
+        (path,) = tmp_path.glob("*.jsonl")
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["settings"] == Settings.from_env().to_dict()
+        assert header["settings"]["point_timeout"] == 600
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "900")
+        monkeypatch.setenv("REPRO_FSYNC", "1")
+        events = []
+        resumed = run_plan(small_plan(), jobs=1, use_cache=False,
+                           backend="serial", manifest=tmp_path,
+                           progress=events.append)
+        assert resumed == serial_results
+        assert len([e for e in events if e.source == "manifest"]) == 2
+        # The resumed run appends to the manifest it found.
+        assert json.loads(path.read_text().splitlines()[0]) == header
+
     def test_sigkilled_grid_resumes_from_manifest(self, tmp_path,
                                                   serial_results):
         """The real crash: SIGKILL a separate grid process mid-run, then

@@ -114,6 +114,9 @@ class TestSchedulerEquivalence:
 class TestSchedulerBehaviour:
     def test_progress_events_stream(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
+        # A fresh trace store: the session store may already hold this
+        # workload lowered, and then there is no lowering pass to report.
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         events = []
         run_suite(configurations=("baseline",), depths=(20,),
                   benchmarks=("li",), scale=0.02, warmup=200, jobs=1,

@@ -4,9 +4,10 @@ Trace-replayed grids equal live-core grids ``==`` across workloads x
 configurations x depths x both speculation modes — plus the store rules
 (fingerprint-keyed staleness, corrupt files recompute, atomic writes, a
 failed write costs only a recording, later plans read earlier plans'
-traces).
+traces, already lowered).
 """
 
+import errno
 import os
 
 import pytest
@@ -26,10 +27,13 @@ from repro.experiments.tracing import (
     TraceStore,
     kernel_mode,
     load_or_record,
+    persist_lowered,
     spec_mode,
     trace_key,
     trace_mode,
 )
+from repro.pipeline.config import machine_for_depth
+from repro.pipeline.kernel import _PERSISTED, ensure_lowered, is_lowered
 from repro.pipeline.trace import record_trace
 from repro.workloads.registry import get_program
 
@@ -164,6 +168,162 @@ class TestTraceStore:
         assert len(store) == 0
 
 
+class TestLoweredStore:
+    """Derived columns persist beside their trace (DESIGN.md §8), under
+    the same key and checksum rules: anything off is a miss, rebuilt."""
+
+    KEY = trace_key("m88ksim", SCALE, 1)
+
+    def _stored(self, directory):
+        """Record, replay (lowering + derived columns + a memory stream)
+        and persist m88ksim into a store at ``directory``."""
+        store = TraceStore(directory)
+        trace = load_or_record("m88ksim", SCALE, 1, store=store)
+        execute_point(point(configuration="current"), trace=trace)
+        persist_lowered(trace_key("m88ksim", SCALE, 1), trace, store)
+        assert store.lowered_put_failed == 0
+        return trace
+
+    def _reload(self, directory):
+        store = TraceStore(directory)
+        return store, load_or_record("m88ksim", SCALE, 1, store=store)
+
+    def test_store_hands_back_a_lowered_trace(self, tmp_path):
+        original = self._stored(tmp_path)._lowered_cache
+        store, trace = self._reload(tmp_path)
+        program = get_program("m88ksim", scale=SCALE, seed=1)
+        assert store.lowered_hits == 1 and is_lowered(trace, program)
+        lowered = ensure_lowered(program, trace)
+        assert not lowered.dirty
+        for name in _PERSISTED:
+            assert getattr(lowered, name) == getattr(original, name), name
+        assert lowered.memory_stream(machine_for_depth(20)) is not None
+        info = {}
+        assert execute_point(point(configuration="perfect"), trace=trace,
+                             info=info) \
+            == execute_point(point(configuration="perfect"), trace=False)
+        assert info["memory_stream"] == "played"
+        assert "lower" not in info["phase_seconds"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit flip", "garbage",
+                                        "other workload", "empty"])
+    def test_damaged_blob_is_a_miss_and_rebuilt(self, tmp_path, damage):
+        self._stored(tmp_path)
+        path = tmp_path / f"{self.KEY}.lowered"
+        data = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(data[:len(data) // 2])
+        elif damage == "bit flip":
+            flipped = bytearray(data)
+            flipped[len(data) // 2] ^= 0x10
+            path.write_bytes(bytes(flipped))
+        elif damage == "garbage":
+            path.write_bytes(b"REPROLWR" + b"\xff" * 64)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            # A well-formed blob of another trace under this key.
+            other = TraceStore(tmp_path / "other")
+            compress = load_or_record("compress", SCALE, 1, store=other)
+            ensure_lowered(get_program("compress", scale=SCALE, seed=1),
+                           compress)
+            persist_lowered(self.KEY, compress, other)
+            path.write_bytes(
+                (tmp_path / "other" / f"{self.KEY}.lowered").read_bytes())
+        store, trace = self._reload(tmp_path)
+        assert store.lowered_misses == 1 and not is_lowered(trace)
+        assert execute_point(point(configuration="current"), trace=trace) \
+            == execute_point(point(configuration="current"), trace=False)
+        persist_lowered(self.KEY, trace, store)   # rebuilt and rewritten
+        store, trace = self._reload(tmp_path)
+        assert store.lowered_hits == 1 and is_lowered(trace)
+
+    def test_blob_from_another_code_fingerprint_is_a_miss(
+            self, tmp_path, monkeypatch):
+        """A lowered blob written under another key (another code
+        fingerprint) is refused even when its trace is byte-identical."""
+        import repro.experiments.tracing as tracing_module
+
+        monkeypatch.setattr(tracing_module, "code_fingerprint",
+                            lambda: "deadbeef")
+        stale_key = trace_key("m88ksim", SCALE, 1)
+        self._stored(tmp_path / "stale")
+        stale = tmp_path / "stale" / f"{stale_key}.lowered"
+        monkeypatch.undo()
+        assert stale_key != self.KEY
+        self._stored(tmp_path)
+        (tmp_path / f"{self.KEY}.lowered").write_bytes(stale.read_bytes())
+        store, trace = self._reload(tmp_path)
+        assert store.lowered_misses == 1 and not is_lowered(trace)
+
+    def test_failed_write_only_counts(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        store = TraceStore(blocker)
+        trace = load_or_record("m88ksim", SCALE, 1, store=store)
+        execute_point(point(), trace=trace)
+        persist_lowered(self.KEY, trace, store)
+        assert store.lowered_put_failed == 1
+
+        def broken(key, lowered):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        store = TraceStore(tmp_path / "store")
+        trace = load_or_record("m88ksim", SCALE, 1, store=store)
+        execute_point(point(), trace=trace)
+        monkeypatch.setattr(store, "put_lowered", broken)
+        persist_lowered(self.KEY, trace, store)
+        assert store.lowered_put_failed == 1
+        assert not (tmp_path / "store" / f"{self.KEY}.lowered").exists()
+
+    def test_unchanged_lowered_form_is_not_rewritten(self, tmp_path):
+        self._stored(tmp_path)
+        store, trace = self._reload(tmp_path)
+        path = tmp_path / f"{self.KEY}.lowered"
+        before = path.stat().st_mtime_ns
+        execute_point(point(configuration="current"), trace=trace)
+        persist_lowered(self.KEY, trace, store)
+        assert path.stat().st_mtime_ns == before
+        assert store.lowered_put_failed == 0
+
+    def test_clear_and_len_handle_lowered_files(self, tmp_path):
+        self._stored(tmp_path)
+        store = TraceStore(tmp_path)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) \
+            == [".lowered", ".trace"]
+        assert len(store) == 1          # one entry, two files
+        (tmp_path / "orphan.lowered.tmp").write_bytes(b"")
+        assert store.clear() == 1
+        assert len(store) == 0 and not any(tmp_path.iterdir())
+
+    def test_second_serial_plan_acquires_lowered_traces(self, monkeypatch,
+                                                        tmp_path):
+        """The serial backend's sweep-wide pool persists and reads the
+        lowered forms like the pool workers do (the local pool is
+        ``TestDiskMode.test_second_plan_reads_the_store``)."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        plan = build_plan(("baseline", "current", "perfect"), (20, 60),
+                          ("m88ksim", "perl"), scale=SCALE, warmup=WARMUP)
+        grids, phases, events = [], [], []
+        for _ in range(2):
+            sink = ViewAggregator()
+            seen = []
+            grids.append(run_plan(plan, jobs=1, backend="serial",
+                                  use_cache=False, sink=sink,
+                                  progress=seen.append))
+            phases.append(
+                sink.snapshot().views["status"]["phase_seconds"])
+            events.append({event.phase for event in seen})
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        live = run_plan(plan, jobs=1, use_cache=False)
+        assert grids[0] == live and grids[1] == live
+        assert "lower" in events[0] and phases[0]["lower"] > 0
+        assert events[1] == {"point"}
+        assert "lower" not in phases[1] and "record" not in phases[1]
+        assert len(list(tmp_path.glob("*.lowered"))) == 2
+
+
 class TestSharedTraces:
     def test_wrongpath_points_stay_live(self):
         points = [point(speculation="wrongpath") for _ in range(3)]
@@ -245,26 +405,32 @@ class TestDiskMode:
 
     def test_second_plan_reads_the_store(self, monkeypatch, tmp_path):
         """Successive run_plan calls on the local pool: the first records
-        each workload once, the second records nothing, and both equal
-        the live grid."""
+        and lowers each workload once, the second records and lowers
+        nothing (its traces come back from the store already lowered),
+        and both equal the live grid."""
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         plan = build_plan(("baseline", "current"), (20, 40),
                           ("m88ksim", "li"), scale=SCALE, warmup=WARMUP)
-        grids, phases = [], []
+        grids, phases, events = [], [], []
         for _ in range(2):
             sink = ViewAggregator()
+            seen = []
             grids.append(run_plan(plan, jobs=2, backend="local",
-                                  use_cache=False, sink=sink))
+                                  use_cache=False, sink=sink,
+                                  progress=seen.append))
             phases.append(
                 sink.snapshot().views["status"]["phase_seconds"])
+            events.append({event.phase for event in seen})
         monkeypatch.setenv("REPRO_TRACE", "0")
         live = run_plan(plan, jobs=1, use_cache=False)
         assert grids[0] == live and grids[1] == live
-        assert phases[0]["record"] > 0
-        assert "record" not in phases[1]
+        assert phases[0]["record"] > 0 and phases[0]["lower"] > 0
+        assert "record" not in phases[1] and "lower" not in phases[1]
+        assert "lower" in events[0] and events[1] == {"point"}
         assert phases[1]["replay"] > 0
         assert len(TraceStore(tmp_path)) == 2
+        assert len(list(tmp_path.glob("*.lowered"))) == 2
 
     def test_failed_store_write_is_only_a_miss(self, monkeypatch, tmp_path):
         """A store that cannot be written (here a regular file where the

@@ -269,3 +269,30 @@ class TestSatellites:
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         run_plan(small_plan(), jobs=1, use_cache=False, backend="serial")
         assert not (tmp_path / "obs").exists()
+
+    def test_summary_shows_memory_stream_and_lowered_store_counters(
+            self, tmp_path, monkeypatch, capsys):
+        """Replays count how they got their cache outcomes, the trace
+        store counts its lowered-form traffic, and ``python -m
+        repro.obs summary`` prints both — pool workers included."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+
+        def summary_of(name, trace_dir):
+            monkeypatch.setenv("REPRO_TRACE_DIR", str(trace_dir))
+            _, run_dir = obs_run(tmp_path / name, monkeypatch,
+                                 backend="local")
+            capsys.readouterr()
+            assert obs_main(["summary", str(run_dir)]) == 0
+            return capsys.readouterr().out
+
+        cold = summary_of("cold", tmp_path / "traces")
+        assert "kernel_memory_stream_total {'outcome': 'recorded'}" in cold
+        assert "kernel_memory_stream_total {'outcome': 'played'}" in cold
+        assert "trace_store.cold" in cold
+        warm = summary_of("warm", tmp_path / "traces")
+        assert "trace_store.lowered.warm = " in warm
+        assert "'outcome': 'recorded'" not in warm
+        failed = summary_of("failed", blocker)
+        assert "trace_store.lowered.put_failed = " in failed

@@ -295,8 +295,11 @@ class TestProgressPhase:
                            backend="serial", progress=events.append)
         return plan, results
 
-    def test_lowering_is_its_own_phase(self, monkeypatch):
+    def test_lowering_is_its_own_phase(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
+        # A fresh trace store: the session store may already hold this
+        # workload lowered, and then there is no lowering pass to report.
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         events = []
         plan, results = self._run(events)
         assert len(results) == len(plan)
